@@ -6,6 +6,7 @@ from .core import (
     FunctionUndefined,
     IllConditionedEigenbasis,
     NoConvergence,
+    NoSeparatingContour,
     ParseError,
     RFOMError,
     RankDeficient,

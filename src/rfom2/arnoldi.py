@@ -68,10 +68,10 @@ class ArnoldiDecomposition:
 
 
 def arnoldi(op, b, j, reorth=True):
-    """Build an orthonormal basis of K_j(A, b) by modified Gram-Schmidt.
+    """Build an orthonormal basis of K_j(A, b) by classical Gram-Schmidt.
 
-    With reorth on, one full second Gram-Schmidt pass is applied per new
-    vector ("twice is enough"). Breakdown truncates the decomposition.
+    With reorth on, the classical pass is applied twice per new vector
+    (CGS2, "twice is enough"). Breakdown truncates the decomposition.
     """
     op = as_operator(op)
     b = np.asarray(b, dtype=np.complex128).reshape(-1)

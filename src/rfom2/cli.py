@@ -2,9 +2,9 @@
 
 Reads a flat key = value config, runs a problem sequence through the
 selected engines, tracks errors and subspace angles, and writes a CSV
-report. Engine failures become failure rows instead of aborting the
-sequence, so events like an eigenvalue drifting onto a function's
-singularity remain observable in the output.
+report. Engine, contour and oracle failures become failure rows instead
+of aborting the sequence, so events like an eigenvalue drifting onto a
+function's singularity remain observable in the output.
 """
 
 import argparse
@@ -12,16 +12,16 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy.sparse
 
 from .arnoldi import arnoldi, as_operator
-from .core import RFOMError
-from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, choose_D, \
-    rfom_v1, rfom_v2, rfom_v3
+from .core import NoSeparatingContour, RFOMError
+from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
+    rfom_v2, rfom_v3
 from .problems import (
+    ORACLE_GENERAL_MAX_N,
     ProblemSequence,
     function_catalog,
     gen_convection_diffusion_2d,
@@ -29,7 +29,8 @@ from .problems import (
     gen_laplacian_2d,
     gen_perturbation_sequence,
     load_matrix_market,
-    oracle_funm,
+    oracle_apply,
+    oracle_eig,
 )
 from .quadrature import CircleContour, guarded_contour, stieltjes_invsqrt, \
     trapezoid_contour
@@ -72,7 +73,6 @@ class ExperimentConfig:
     eps: float = 0.0
     seed: int = 0
     rhs_policy: str = "random_each"
-    d_policy: str = "identity"
     hermitian: bool = False
     track_angle: bool = False
     oracle: bool = True
@@ -182,7 +182,7 @@ def _base_matrix(cfg):
     raise ValueError(f"unknown problem kind {cfg.problem!r}")
 
 
-def _make_rule(cfg, dec, rec, fun):
+def _make_rule(cfg, dec, fun):
     if cfg.quad_kind == "stieltjes":
         if cfg.function != "invsqrt":
             raise ValueError("stieltjes quadrature is only available for invsqrt")
@@ -202,102 +202,125 @@ def _make_rule(cfg, dec, rec, fun):
 
 
 class _OracleCache:
-    """Per-operator eigendecomposition cache for one sequence run."""
+    """The oracle's eigendecomposition of the current operator in one run."""
 
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self.key = None
+    def __init__(self, hermitian):
+        self.hermitian = hermitian
+        self.A = None
         self.eig = None
 
     def eig_for(self, A):
-        if id(A) == self.key:
-            return self.eig
-        dense = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
-        w, Q = np.linalg.eigh(dense)
-        self.key = id(A)
-        self.eig = (w, Q)
+        if A is not self.A:
+            # drop the previous operator and decomposition before the next
+            # is computed, so that two never coexist at the memory peak
+            self.A = self.eig = None
+            self.eig = oracle_eig(A, hermitian=self.hermitian)
+            self.A = A
         return self.eig
 
 
-def run_experiment(cfg):
-    """Run a sequence of f(A^(i)) b^(i) problems through selected engines."""
+def _setup(cfg, length, eps):
+    """Engine names, function, problem sequence and oracle cache of a config.
+
+    The cache is None when the oracle is off or the matrix is too large.
+    """
     engine_names = cfg.engine_list()
     fun = function_catalog(cfg.function)
     base, base_hermitian = _base_matrix(cfg)
     hermitian = cfg.hermitian or base_hermitian
     n = base.shape[0]
-    seq = ProblemSequence(base=base, length=cfg.n_problems, eps=cfg.eps,
+    seq = ProblemSequence(base=base, length=length, eps=eps,
                           rhs_policy=cfg.rhs_policy, seed=cfg.seed,
                           hermitian=hermitian)
-    report = RunReport(path=cfg.output)
-    rec = RecycleSubspace.empty(n)
-    oracle_ok_size = cfg.oracle and n <= cfg.oracle_max_n
-    cache = _OracleCache(cfg)
+    oracle = cfg.oracle and n <= cfg.oracle_max_n \
+        and (hermitian or n <= ORACLE_GENERAL_MAX_N)
+    return engine_names, fun, seq, _OracleCache(hermitian) if oracle else None
 
+
+def _status(exc):
+    return f"error:{type(exc).__name__}"
+
+
+def _oracle_step(cache, fun, A, b, report, row):
+    """(eig, reference) of one problem; (None, None) without an oracle.
+
+    A failing oracle leaves reference None and becomes an `oracle` error
+    row. On the Hermitian path that row's imag_residue holds the smallest
+    eigenvalue, which shows how far the spectrum crossed the singularity.
+    """
+    if cache is None:
+        return None, None
+    eig = None
+    try:
+        eig = cache.eig_for(A)
+        return eig, oracle_apply(fun, eig, b, hermitian=cache.hermitian)
+    except RFOMError as exc:
+        diag = float(eig[0][0]) if eig is not None and cache.hermitian else ""
+        report.add(engine="oracle", imag_residue=diag, status=_status(exc), **row)
+        return eig, None
+
+
+def _run_engines(cfg, engine_names, dec, rec, fun, report, row):
+    """Build the quadrature rule and call every engine on it.
+
+    Returns {engine: (x, wall_ms)} for the engines that succeeded. An
+    engine failure becomes an error row; a contour that cannot be drawn
+    becomes one error row per engine.
+    """
+    try:
+        rule = _make_rule(cfg, dec, fun)
+    except NoSeparatingContour as exc:
+        for name in engine_names:
+            report.add(engine=name, status=_status(exc), **row)
+        return {}
+    outputs = {}
+    for name in engine_names:
+        start = time.perf_counter()
+        try:
+            x = ENGINES[name](dec, rec, fun, rule)
+        except RFOMError as exc:
+            wall = 1000.0 * (time.perf_counter() - start)
+            report.add(engine=name, wall_ms=wall, status=_status(exc), **row)
+            continue
+        outputs[name] = (x, 1000.0 * (time.perf_counter() - start))
+    return outputs
+
+
+def _add_ok_rows(report, outputs, reference, row, angle=""):
+    """One ok row per engine output.
+
+    rel_error is measured against the reference, or against the first
+    engine that ran when there is no oracle reference.
+    """
+    if reference is None and outputs:
+        reference = next(iter(outputs.values()))[0]
+    refnorm = float(np.linalg.norm(reference)) if reference is not None else 0.0
+    for name, (x, wall) in outputs.items():
+        rel = float(np.linalg.norm(x - reference) / refnorm) if refnorm > 0 else ""
+        xnorm = float(np.linalg.norm(x))
+        imag = float(np.linalg.norm(x.imag) / xnorm) if xnorm > 0 else 0.0
+        report.add(engine=name, rel_error=rel, imag_residue=imag,
+                   subspace_angle=angle, wall_ms=wall, status="ok", **row)
+
+
+def run_experiment(cfg):
+    """Run a sequence of f(A^(i)) b^(i) problems through selected engines."""
+    engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
+    report = RunReport(path=cfg.output)
+    rec = RecycleSubspace.empty(seq.base.shape[0])
     for i, (A, b) in enumerate(gen_perturbation_sequence(seq), start=1):
         op = as_operator(A)
         dec = arnoldi(op, b, cfg.j, reorth=True)
-        rule = _make_rule(cfg, dec, rec, fun)
-        used_k = rec.k
-
-        reference = None
-        eig = None
-        if oracle_ok_size and hermitian:
-            eig = cache.eig_for(A)
-        if oracle_ok_size and (hermitian or n <= 1500):
-            try:
-                if hermitian:
-                    w, Q = eig
-                    vals = np.array([fun.scalar_f(lam) for lam in w])
-                    reference = Q @ (vals * (Q.conj().T @ b.astype(np.complex128)))
-                else:
-                    reference = oracle_funm(A, fun, b, hermitian=False)
-            except RFOMError as exc:
-                diag = float(eig[0][0]) if eig is not None else ""
-                report.add(problem_index=i, engine="oracle", j=cfg.j, k=used_k,
-                           n_quad=cfg.n_quad, imag_residue=diag,
-                           status=f"error:{type(exc).__name__}")
-                reference = None
-
-        outputs = {}
-        for name in engine_names:
-            start = time.perf_counter()
-            try:
-                x = ENGINES[name](dec, rec, fun, rule)
-            except RFOMError as exc:
-                wall = 1000.0 * (time.perf_counter() - start)
-                report.add(problem_index=i, engine=name, j=cfg.j, k=used_k,
-                           n_quad=rule.n_quad, wall_ms=wall,
-                           status=f"error:{type(exc).__name__}")
-                continue
-            wall = 1000.0 * (time.perf_counter() - start)
-            outputs[name] = (x, wall)
-
-        if reference is None and outputs:
-            # oracle unavailable: report gaps against the first engine
-            reference = outputs[engine_names[0] if engine_names[0] in outputs
-                                else next(iter(outputs))][0]
-        refnorm = float(np.linalg.norm(reference)) if reference is not None else 0.0
-
+        row = dict(problem_index=i, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
+        eig, reference = _oracle_step(cache, fun, A, b, report, row)
+        outputs = _run_engines(cfg, engine_names, dec, rec, fun, report, row)
         angle = ""
         if cfg.k > 0:
             rec = harmonic_ritz_update(dec, rec, op, cfg.k)
-            if cfg.track_angle and hermitian and eig is not None and rec.k:
-                Z = eig[1][:, : rec.k]
-                angle = subspace_angle(rec.U, Z)
-
-        for name in engine_names:
-            if name not in outputs:
-                continue
-            x, wall = outputs[name]
-            rel = float(np.linalg.norm(x - reference) / refnorm) \
-                if reference is not None and refnorm > 0 else ""
-            xnorm = float(np.linalg.norm(x))
-            imag = float(np.linalg.norm(x.imag) / xnorm) if xnorm > 0 else 0.0
-            report.add(problem_index=i, engine=name, j=cfg.j, k=used_k,
-                       n_quad=rule.n_quad, rel_error=rel, imag_residue=imag,
-                       subspace_angle=angle, wall_ms=wall, status="ok")
-
+            if cfg.track_angle and seq.hermitian and eig is not None and rec.k:
+                angle = subspace_angle(rec.U, eig[1][:, : rec.k])
+        _add_ok_rows(report, outputs, reference, row, angle)
+        del eig  # else the cache cannot free it before the next decomposition
     report.write_csv()
     return report
 
@@ -309,63 +332,23 @@ def sweep_quadrature(cfg, n_list):
     eigenvectors of the matrix (the single-problem augmentation setup);
     the sweep exposes where each engine's error stagnates.
     """
-    engine_names = cfg.engine_list()
-    fun = function_catalog(cfg.function)
-    base, base_hermitian = _base_matrix(cfg)
-    hermitian = cfg.hermitian or base_hermitian
-    n = base.shape[0]
-    seq = ProblemSequence(base=base, length=1, eps=0.0,
-                          rhs_policy=cfg.rhs_policy, seed=cfg.seed,
-                          hermitian=hermitian)
+    engine_names, fun, seq, cache = _setup(cfg, 1, 0.0)
     A, b = next(gen_perturbation_sequence(seq))
-    op = as_operator(A)
-    dec = arnoldi(op, b, cfg.j, reorth=True)
-
-    reference = None
-    rec = RecycleSubspace.empty(n)
-    if cfg.oracle and n <= cfg.oracle_max_n and hermitian:
-        dense = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
-        w, Q = np.linalg.eigh(dense)
-        vals = np.array([fun.scalar_f(lam) for lam in w])
-        reference = Q @ (vals * (Q.conj().T @ b.astype(np.complex128)))
-        if cfg.k > 0:
-            U = Q[:, : cfg.k].astype(np.complex128)
-            rec = RecycleSubspace(U=U, C=np.asarray(A @ U),
-                                  D=choose_D(U, cfg.d_policy))
-    elif cfg.oracle and n <= min(cfg.oracle_max_n, 1500):
-        reference = oracle_funm(A, fun, b, hermitian=False)
-    refnorm = float(np.linalg.norm(reference)) if reference is not None else 0.0
-
+    dec = arnoldi(as_operator(A), b, cfg.j, reorth=True)
     report = RunReport(path=cfg.output)
+    rec = RecycleSubspace.empty(A.shape[0])
+    if cfg.k > 0 and cache is not None and cache.hermitian:
+        try:
+            rec = RecycleSubspace.from_basis(A, cache.eig_for(A)[1][:, : cfg.k])
+        except RFOMError:
+            pass  # _oracle_step below reports the failure
+    row = dict(problem_index=1, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
+    _, reference = _oracle_step(cache, fun, A, b, report, row)
     for nq in n_list:
-        sub = ExperimentConfig(**{f.name: getattr(cfg, f.name)
-                                  for f in fields(ExperimentConfig)})
-        sub.n_quad = int(nq)
-        rule = _make_rule(sub, dec, rec, fun)
-        outputs = {}
-        for name in engine_names:
-            start = time.perf_counter()
-            try:
-                x = ENGINES[name](dec, rec, fun, rule)
-            except RFOMError as exc:
-                wall = 1000.0 * (time.perf_counter() - start)
-                report.add(problem_index=1, engine=name, j=cfg.j, k=rec.k,
-                           n_quad=int(nq), wall_ms=wall,
-                           status=f"error:{type(exc).__name__}")
-                continue
-            wall = 1000.0 * (time.perf_counter() - start)
-            outputs[name] = (x, wall)
-        ref = reference
-        if ref is None and outputs:
-            ref = outputs[next(iter(outputs))][0]
-            refnorm = float(np.linalg.norm(ref))
-        for name, (x, wall) in outputs.items():
-            rel = float(np.linalg.norm(x - ref) / refnorm) if refnorm > 0 else ""
-            xnorm = float(np.linalg.norm(x))
-            imag = float(np.linalg.norm(x.imag) / xnorm) if xnorm > 0 else 0.0
-            report.add(problem_index=1, engine=name, j=cfg.j, k=rec.k,
-                       n_quad=int(nq), rel_error=rel, imag_residue=imag,
-                       wall_ms=wall, status="ok")
+        sub = replace(cfg, n_quad=int(nq))
+        row = dict(row, n_quad=sub.n_quad)
+        outputs = _run_engines(sub, engine_names, dec, rec, fun, report, row)
+        _add_ok_rows(report, outputs, reference, row)
     report.write_csv()
     return report
 

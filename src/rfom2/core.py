@@ -66,6 +66,10 @@ class UnknownFunction(RFOMError):
     pass
 
 
+class NoSeparatingContour(RFOMError, ValueError):
+    """No circle encloses the spectrum estimates and excludes the singularity."""
+
+
 def _as_complex(a):
     a = np.asarray(a, dtype=np.complex128)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):

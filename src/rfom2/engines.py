@@ -1,4 +1,4 @@
-"""The four approximation engines for f(A) b.
+"""The five approximation engines for f(A) b.
 
 `arnoldi_direct` and `arnoldi_quad` are the plain Krylov baselines; the
 three recycled engines consume an additional augmentation subspace U

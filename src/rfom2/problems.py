@@ -209,34 +209,39 @@ def gen_perturbation_sequence(seq):
 # ---------------------------------------------------------------------------
 # Dense oracle and function catalog
 
-def oracle_funm(A, fun, b, hermitian=False):
-    """Reference f(A) b through a dense eigendecomposition.
+def oracle_eig(A, hermitian=False):
+    """Dense eigendecomposition (w, V) of A for the reference oracle.
 
     The Hermitian path diagonalizes unitarily; the general path guards
-    against an ill-conditioned eigenbasis and a size cap. Eigenvalues at
-    a singularity of f raise FunctionUndefined.
+    against a size cap and an ill-conditioned eigenbasis.
     """
     A = np.asarray(A.toarray() if scipy.sparse.issparse(A) else A, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if hermitian:
-        w, Q = eig_dense(A, hermitian=True)
-        fw = _scalar_on_spectrum(fun, w)
-        return Q @ (fw * (Q.conj().T @ b))
-    if A.shape[0] > ORACLE_GENERAL_MAX_N:
+    if not hermitian and A.shape[0] > ORACLE_GENERAL_MAX_N:
         raise ValueError(f"general oracle capped at n = {ORACLE_GENERAL_MAX_N}")
-    w, P = eig_dense(A, hermitian=False)
-    cond = np.linalg.cond(P)
-    if not np.isfinite(cond) or cond >= 1e8:
-        raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
-    fw = _scalar_on_spectrum(fun, w)
-    return P @ (fw * np.linalg.solve(P, b))
+    w, V = eig_dense(A, hermitian=hermitian)
+    if not hermitian:
+        cond = np.linalg.cond(V)
+        if not np.isfinite(cond) or cond >= 1e8:
+            raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
+    return w, V
 
 
-def _scalar_on_spectrum(fun, w):
-    vals = np.empty(w.shape, dtype=np.complex128)
-    for idx, lam in enumerate(w):
-        vals[idx] = fun.scalar_f(lam)
-    return vals
+def oracle_apply(fun, eig, b, hermitian=False):
+    """f(A) b from A's oracle_eig decomposition.
+
+    Eigenvalues at a singularity of f raise FunctionUndefined.
+    """
+    w, V = eig
+    b = np.asarray(b, dtype=np.complex128).reshape(-1)
+    fw = np.array([fun.scalar_f(lam) for lam in w], dtype=np.complex128)
+    if hermitian:
+        return V @ (fw * (V.conj().T @ b))
+    return V @ (fw * np.linalg.solve(V, b))
+
+
+def oracle_funm(A, fun, b, hermitian=False):
+    """Reference f(A) b through a dense eigendecomposition."""
+    return oracle_apply(fun, oracle_eig(A, hermitian), b, hermitian)
 
 
 def _on_branch_cut(z, include_origin=True):

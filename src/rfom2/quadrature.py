@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import NoSeparatingContour
+
 
 @dataclass(frozen=True)
 class CircleContour:
@@ -103,6 +105,7 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
     outer clearance of the annulus of analyticity. The radius then
     exceeds the enclosing minimum by sqrt(avail/need), which is the
     margin (the explicit margin argument only shapes the fallback).
+    Raises NoSeparatingContour when no such circle exists.
     """
     contour = suggest_contour(spectrum_estimates, margin)
     if singularity is None:
@@ -117,7 +120,7 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
     need = float(np.max(np.abs(est - center)))
     avail = abs(s - center)
     if avail <= need:
-        raise ValueError(
+        raise NoSeparatingContour(
             "cannot separate the singularity from the spectrum estimates with a circle"
         )
     radius = float(np.sqrt(need * avail))

@@ -16,13 +16,14 @@ def harmonic_ritz_pencil(dec, rec):
     The non-orthonormal Wbar columns make this differ from the classical
     recycled-GMRES procedure by the extra Wbar^* Wbar factor.
     """
-    aug = augmented_quantities(dec, rec)
-    k = rec.k
-    Us = aug.Vhat[:, :k]
+    return _pencil(dec, rec, augmented_quantities(dec, rec))
+
+
+def _pencil(dec, rec, aug):
     Wbar = np.concatenate([rec.C, dec.V], axis=1)
     WG = Wbar @ aug.Gbar
     lhs = WG.conj().T @ WG
-    rhs = WG.conj().T @ np.concatenate([Us, dec.Vj], axis=1)
+    rhs = WG.conj().T @ aug.Vhat
     return lhs, rhs
 
 
@@ -38,7 +39,8 @@ def harmonic_ritz_update(dec, rec, op, k):
     op = as_operator(op)
     if k == 0:
         return RecycleSubspace.empty(op.dim)
-    lhs, rhs = harmonic_ritz_pencil(dec, rec)
+    aug = augmented_quantities(dec, rec)
+    lhs, rhs = _pencil(dec, rec, aug)
     sv = svd_values(rhs)
     if sv[0] > 0.0 and sv[-1] >= 1e-12 * sv[0]:
         values, vectors = generalized_eig(lhs, rhs)
@@ -52,10 +54,7 @@ def harmonic_ritz_update(dec, rec, op, k):
     order = np.argsort(np.abs(values))
     finite = [i for i in order if np.isfinite(values[i])]
     sel = finite[: min(k, len(finite))]
-    G = vectors[:, sel]
-
-    aug = augmented_quantities(dec, rec)
-    U = aug.Vhat @ G
+    U = aug.Vhat @ vectors[:, sel]
     norms = np.linalg.norm(U, axis=0)
     if np.max(norms) == 0.0:
         raise RankDeficient("harmonic Ritz vectors are numerically zero")

@@ -126,6 +126,16 @@ class TestRunExperiment:
         assert statuses[(2, "oracle")].startswith("error:FunctionUndefined")
         assert (2, "arnoldi_q") in statuses  # sequence was not aborted
 
+    def test_sign_via_invsqrt(self, tmp_path):
+        cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",
+                               j=10, k=0, n_quad=200, n_problems=1,
+                               engines="arnoldi,arnoldi_q",
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        assert [r["status"] for r in report.rows] == ["ok", "ok"]
+        # the Laplacian is positive definite, so sign(A) b = b
+        assert report.select(engine="arnoldi")[0]["rel_error"] <= 1e-8
+
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "out.csv"
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="exp",
@@ -162,6 +172,24 @@ class TestSweep:
         e1 = report.select(engine="v1")[0]["rel_error"]
         e3 = report.select(engine="v3")[0]["rel_error"]
         assert e3 < e1
+
+    def test_oracle_failure_row(self, tmp_path):
+        # test_failure_isolation's indefinite matrix: the oracle fails and
+        # becomes a row, the sweep goes on
+        A = np.diag([-1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        mfile = tmp_path / "indef.mtx"
+        save_matrix_market(mfile, A)
+        cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
+                               function="invsqrt", quad_kind="stieltjes",
+                               j=6, k=0, engines="arnoldi_q", seed=1,
+                               output=str(tmp_path / "out.csv"))
+        report = sweep_quadrature(cfg, [16, 32])
+        oracle = report.select(engine="oracle")
+        assert [r["status"] for r in oracle] == ["error:FunctionUndefined"]
+        assert oracle[0]["imag_residue"] == -1.0
+        quad = report.select(engine="arnoldi_q")
+        assert [r["n_quad"] for r in quad] == [16, 32]
+        assert all(r["status"] == "ok" for r in quad)
 
 
 class TestMain:
@@ -209,3 +237,25 @@ class TestMain:
             output = {tmp_path / "f.csv"}
         """)
         assert main(["run", cfgfile]) == 1
+
+    def test_contour_failure_rows(self, tmp_path):
+        # strong convection puts Ritz values on both sides of log's
+        # singularity at 0: no circle separates them, every engine gets an
+        # error row and the next problem still runs
+        out = tmp_path / "c.csv"
+        cfgfile = write_config(tmp_path, f"""
+            problem = convdiff2d
+            m = 10
+            convection = 30
+            function = log
+            j = 20
+            n_problems = 2
+            engines = arnoldi, arnoldi_q
+            output = {out}
+        """)
+        assert main(["run", cfgfile]) == 1
+        with open(out) as fh:
+            rows = [(r["problem_index"], r["engine"], r["status"])
+                    for r in csv.DictReader(fh)]
+        assert rows == [(i, e, "error:NoSeparatingContour")
+                        for i in ("1", "2") for e in ("arnoldi", "arnoldi_q")]
