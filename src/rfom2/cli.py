@@ -2,9 +2,9 @@
 
 Reads a flat key = value config, runs a problem sequence through the
 selected engines, tracks errors and subspace angles, and writes a CSV
-report. Engine, contour and oracle failures become failure rows instead
-of aborting the sequence, so events like an eigenvalue drifting onto a
-function's singularity remain observable in the output.
+report. Engine, contour, oracle and recycle failures become failure rows
+instead of aborting the sequence, so events like an eigenvalue drifting
+onto a function's singularity remain observable in the output.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .arnoldi import arnoldi, as_operator
-from .core import NoSeparatingContour, RFOMError
+from .core import NoSeparatingContour, ParseError, RFOMError
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
     rfom_v2, rfom_v3
 from .problems import (
@@ -90,9 +90,13 @@ class ExperimentConfig:
 
 
 def parse_config(path, overrides=()):
-    """Flat 'key = value' file; '#' and ';' start comments; later keys win."""
+    """Flat 'key = value' file; '#' and ';' start comments; later keys win.
+
+    Raises ParseError, naming the line or the key, on a malformed line,
+    an unknown key or a value of the wrong type.
+    """
     cfg = ExperimentConfig()
-    valid = {f.name: f.type for f in fields(ExperimentConfig)}
+    valid = {f.name for f in fields(ExperimentConfig)}
     pairs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -100,27 +104,31 @@ def parse_config(path, overrides=()):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (p.strip() for p in line.split("=", 1))
             pairs.append((key, value))
     for item in overrides:
         if "=" not in item:
-            raise ValueError(f"override {item!r} must be key=value")
+            raise ParseError(f"override {item!r} must be key=value")
         key, value = (p.strip() for p in item.split("=", 1))
         pairs.append((key, value))
     for key, value in pairs:
         if key not in valid:
-            raise ValueError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
-            setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(cfg, key, int(value))
-        elif isinstance(current, float):
-            setattr(cfg, key, float(value))
-        else:
-            setattr(cfg, key, value)
+            raise ParseError(f"unknown config key {key!r}")
+        setattr(cfg, key, _parse_value(key, value, type(getattr(cfg, key))))
     return cfg
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_value(key, value, kind):
+    try:
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"config key {key!r}: {value!r} is not of type "
+                         f"{kind.__name__}") from exc
 
 
 @dataclass
@@ -303,6 +311,27 @@ def _add_ok_rows(report, outputs, reference, row, angle=""):
                    subspace_angle=angle, wall_ms=wall, status="ok", **row)
 
 
+def _recycle_step(dec, rec, op, k, Z, report, row):
+    """(subspace for the next problem, its angle to Z's first columns).
+
+    A failure becomes one `recycle` error row: a failed update leaves the
+    next problem an empty subspace, a failed angle leaves the angle blank.
+    The angle is blank too without Z or with an empty subspace.
+    """
+    try:
+        rec = harmonic_ritz_update(dec, rec, op, k)
+    except RFOMError as exc:
+        report.add(engine="recycle", status=_status(exc), **row)
+        return RecycleSubspace.empty(op.dim), ""
+    if Z is None or not rec.k:
+        return rec, ""
+    try:
+        return rec, subspace_angle(rec.U, Z[:, : rec.k])
+    except RFOMError as exc:
+        report.add(engine="recycle", status=_status(exc), **row)
+        return rec, ""
+
+
 def run_experiment(cfg):
     """Run a sequence of f(A^(i)) b^(i) problems through selected engines."""
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
@@ -316,9 +345,9 @@ def run_experiment(cfg):
         outputs = _run_engines(cfg, engine_names, dec, rec, fun, report, row)
         angle = ""
         if cfg.k > 0:
-            rec = harmonic_ritz_update(dec, rec, op, cfg.k)
-            if cfg.track_angle and seq.hermitian and eig is not None and rec.k:
-                angle = subspace_angle(rec.U, eig[1][:, : rec.k])
+            track = cfg.track_angle and seq.hermitian and eig is not None
+            rec, angle = _recycle_step(dec, rec, op, cfg.k,
+                                       eig[1] if track else None, report, row)
         _add_ok_rows(report, outputs, reference, row, angle)
         del eig  # else the cache cannot free it before the next decomposition
     report.write_csv()

@@ -54,8 +54,8 @@ class IllConditionedEigenbasis(RFOMError):
     pass
 
 
-class ParseError(RFOMError):
-    pass
+class ParseError(RFOMError, ValueError):
+    """Malformed input file or config, located by line or by key."""
 
 
 class UnsupportedFormat(RFOMError):

@@ -3,8 +3,10 @@
 `arnoldi_direct` and `arnoldi_quad` are the plain Krylov baselines; the
 three recycled engines consume an additional augmentation subspace U
 with C = A U carried across problems. All engines are pure functions of
-(decomposition, subspace, function, rule) and accumulate quadrature
-sums sequentially in ascending node order for reproducibility.
+(decomposition, subspace, function, rule). `arnoldi_quad` and `rfom_v1`
+accumulate their quadrature sums node by node in ascending node order;
+`rfom_v2` and `rfom_v3` reduce their node systems to triangular form
+with one QZ decomposition and sum over all nodes at once.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +16,7 @@ import scipy.linalg
 
 from .arnoldi import ArnoldiDecomposition, as_operator
 from .core import (
+    NoConvergence,
     RankDeficient,
     SingularMatrix,
     SingularProjector,
@@ -216,18 +219,70 @@ def rfom_v1(dec, rec, fun, rule):
     return out
 
 
-def _vhat_r(aug, blocks, z):
-    """V_hat^* R_z from its precomputed one-time blocks."""
-    tl, bl, tail_top = blocks
-    k, j = aug.k, aug.j
-    out = np.zeros((k + j, k + j), dtype=np.complex128)
-    out[:k, :k] = z * tl
-    out[k:, :k] = z * bl
-    out[:k, k + j - 1] = tail_top
-    return out
+def _pencil_node_sum(E, F, rhs, nodes, mu):
+    """sum_l mu_l (z_l E - F)^{-1} rhs from one complex QZ of the pencil.
+
+    With F = Q T Z^* and E = Q S Z^* (T, S upper triangular), every node
+    system becomes the triangular (z_l S - T) y_l = Q^* rhs. Back
+    substitution runs over the m rows for all nodes at once, and the sum
+    is Z sum_l mu_l y_l. A node is singular when a diagonal entry
+    |z_l S_ii - T_ii| is not above 1e-14 (|z_l| max|E| + max|F|), the
+    scale of z_l E - F.
+    """
+    m = E.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.complex128)
+    try:
+        T, S, Q, Z = scipy.linalg.qz(F, E, output="complex")
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NoConvergence(f"QZ iteration failed: {exc}") from exc
+    diag = nodes * np.diag(S)[:, None] - np.diag(T)[:, None]
+    scale = 1e-14 * (np.abs(nodes) * np.max(np.abs(E)) + np.max(np.abs(F)))
+    singular = ~(np.abs(diag) > scale).all(axis=0)
+    if singular.any():
+        z = nodes[np.argmax(singular)]
+        raise SingularSystem(f"pencil z E - F singular at node {z}")
+    Y = np.empty((m, nodes.size), dtype=np.complex128)
+    c = Q.conj().T @ rhs
+    for i in range(m - 1, -1, -1):
+        Yi = Y[i + 1:]
+        Y[i] = (c[i] - nodes * (S[i, i + 1:] @ Yi) + T[i, i + 1:] @ Yi) / diag[i]
+    return Z @ (Y @ mu)
 
 
-def _v2_setup(dec, rec):
+def _galerkin_node_sum(E, F, rhs, nodes, mu):
+    """`_pencil_node_sum` for a Galerkin pencil E = V^* V, F = V^* A V.
+
+    The sum is taken in the eigenbasis W of the Gram matrix E, without the
+    eigenvectors whose eigenvalue is not above 10 eps of the largest: E
+    holds only rounding noise along them, because V is rank deficient to
+    working precision there. Kept, they make the pencil nearly singular
+    as a whole, and its ill-determined generalized eigenvalues can land
+    next to the nodes. W is unitary when nothing is dropped, so the sum is
+    then the same as on (E, F) up to rounding.
+    """
+    lam, W = np.linalg.eigh(E)
+    W = W[:, lam > 10 * np.finfo(float).eps * lam[-1]]
+    Wh = W.conj().T
+    return W @ _pencil_node_sum(Wh @ E @ W, Wh @ F @ W, Wh @ rhs, nodes, mu)
+
+
+def _node_weights(fun, rule):
+    """mu_l = w_l * factor(z_l), the coefficient of node l's solve."""
+    factor = _node_factor(fun, rule)
+    return rule.weights * np.array([factor(z) for z in rule.nodes], dtype=np.complex128)
+
+
+def _v2_pencil(dec, rec):
+    """v2's node matrix V_hat^* W_hat (z I - G) + V_hat^* R_z as z E - F.
+
+    V_hat^* R_z = z P + N, with P = V_hat^* (U D - C) in the first k
+    columns and N = (U D)^* tail in rows :k of the last column (V_j^* tail
+    vanishes), so E = V_hat^* W_hat + P = V_hat^* V_hat and
+    F = V_hat^* W_hat G - N = V_hat^* A V_hat. E is formed as the Gram
+    matrix, which keeps its rounding at eps |E| rather than eps |C|.
+    Returns (aug, V_hat^* W_hat, E, F, V_hat^* b).
+    """
     aug = augmented_quantities(dec, rec)
     k, j = aug.k, aug.j
     Us = aug.Vhat[:, :k]
@@ -237,42 +292,22 @@ def _v2_setup(dec, rec):
     VhWh[:k, k:] = Us.conj().T @ dec.Vj
     VhWh[k:, :k] = dec.Vj.conj().T @ rec.C
     VhWh[k:, k:] = np.eye(j)
-    tl = Us.conj().T @ aug.UmC
-    bl = dec.Vj.conj().T @ aug.UmC
-    tail_top = Us.conj().T @ aug.tail
+    E = VhWh.copy()
+    E[:, :k] = aug.Vhat.conj().T @ Us
+    F = VhWh @ aug.G
+    F[:k, k + j - 1] -= Us.conj().T @ aug.tail
     Vhb = np.concatenate([Us.conj().T @ dec.b, dec.beta * np.eye(j, 1, dtype=np.complex128)[:, 0]])
-    return aug, VhWh, (tl, bl, tail_top), Vhb
-
-
-def _v2_node_sum(aug, VhWh, blocks, Vhb, fun, rule, y0=None):
-    """Weighted sum over the nodes of the compact (k+j) solutions u(z).
-
-    With y0 given, each node also solves (z I - G) c = y0 and the sum
-    runs over u(z) - c(z) instead, the quadrature correction of rfom_v3.
-    """
-    kj = aug.k + aug.j
-    I = np.eye(kj, dtype=np.complex128)
-    t = np.zeros(kj, dtype=np.complex128)
-    factor = _node_factor(fun, rule)
-    for z, w in zip(rule.nodes, rule.weights):
-        sys = VhWh @ (z * I - aug.G) + _vhat_r(aug, blocks, z)
-        try:
-            u = lu_solve(sys, Vhb)
-        except SingularMatrix as exc:
-            raise SingularSystem(f"augmented system singular at node {z}") from exc
-        if y0 is not None:
-            try:
-                u = u - lu_solve(z * I - aug.G, y0)
-            except SingularMatrix as exc:
-                raise SingularSystem(f"node {z} hits the spectrum of G") from exc
-        t += w * factor(z) * u
-    return t
+    return aug, VhWh, E, F, Vhb
 
 
 def rfom_v2(dec, rec, fun, rule):
-    """Compact recycled approximation: one (k+j) solve per quadrature node."""
-    aug, VhWh, blocks, Vhb = _v2_setup(dec, rec)
-    return aug.Vhat @ _v2_node_sum(aug, VhWh, blocks, Vhb, fun, rule)
+    """Compact recycled approximation: one (k+j) system per quadrature node.
+
+    The node systems form the pencil z E - F of `_v2_pencil`; one QZ
+    reduction serves all of them.
+    """
+    aug, _, E, F, Vhb = _v2_pencil(dec, rec)
+    return aug.Vhat @ _galerkin_node_sum(E, F, Vhb, rule.nodes, _node_weights(fun, rule))
 
 
 def rfom_v3(dec, rec, fun, rule):
@@ -286,12 +321,13 @@ def rfom_v3(dec, rec, fun, rule):
     where u(z) is v2's compact solution at node z. The bulk of the
     approximation moves into the direct evaluation of f on the augmented
     Hessenberg matrix, so fewer quadrature nodes are needed for the same
-    accuracy. Each node costs v2's solve plus one (k+j) solve with
-    z I - G. Raises SingularSystem when V_hat^* W_hat is numerically
-    singular (smallest singular value below 1e-12 of the largest), which
-    happens once U lies numerically inside K_j.
+    accuracy. Both node sums go through the QZ kernel: v2's on the pencil
+    (E, F), the correction's on (I, G). Raises SingularSystem when
+    V_hat^* W_hat is numerically singular (smallest singular value below
+    1e-12 of the largest), which happens once U lies numerically inside
+    K_j.
     """
-    aug, VhWh, blocks, Vhb = _v2_setup(dec, rec)
+    aug, VhWh, E, F, Vhb = _v2_pencil(dec, rec)
     k = aug.k
     sv = svd_values(VhWh)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
@@ -307,5 +343,8 @@ def rfom_v3(dec, rec, fun, rule):
         fGy0[:k] = fun.dense_f(aug.G[:k, :k]) @ y0[:k]
     fGy0[k:] = fun.dense_f(dec.H) @ y0[k:]
 
-    t = _v2_node_sum(aug, VhWh, blocks, Vhb, fun, rule, y0=y0)
+    mu = _node_weights(fun, rule)
+    I = np.eye(k + aug.j, dtype=np.complex128)
+    t = _galerkin_node_sum(E, F, Vhb, rule.nodes, mu) \
+        - _pencil_node_sum(I, aug.G, y0, rule.nodes, mu)
     return aug.Vhat @ (fGy0 + t)

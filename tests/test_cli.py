@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+import rfom2.cli
+from rfom2.core import ParseError, RankDeficient
 from rfom2.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -46,6 +48,16 @@ class TestParseConfig:
         path = write_config(tmp_path, "frobnicate = 1\n")
         with pytest.raises(ValueError):
             parse_config(path)
+
+    def test_bad_values_name_the_key(self, tmp_path):
+        for line, key in (("hermitian = treu", "hermitian"), ("j = 3.5", "j"),
+                          ("eps = small", "eps")):
+            path = write_config(tmp_path, f"m = 8\n{line}\n")
+            with pytest.raises(ParseError, match=repr(key)):
+                parse_config(path)
+        path = write_config(tmp_path, "m = 8\n")
+        cfg = parse_config(path, overrides=["hermitian=OFF", "track_angle=on"])
+        assert cfg.hermitian is False and cfg.track_angle is True
 
     def test_unknown_engine(self, tmp_path):
         path = write_config(tmp_path, "engines = arnoldi, gmres\n")
@@ -125,6 +137,40 @@ class TestRunExperiment:
         assert statuses[(1, "oracle")].startswith("error:FunctionUndefined")
         assert statuses[(2, "oracle")].startswith("error:FunctionUndefined")
         assert (2, "arnoldi_q") in statuses  # sequence was not aborted
+
+    def test_recycle_failure_rows(self, tmp_path, monkeypatch):
+        # the first harmonic Ritz update and the first subspace angle fail:
+        # each gives a `recycle` row, problem 2 restarts from an empty
+        # subspace, and problem 3 recycles again
+        calls = {"update": 0, "angle": 0}
+        update, angle = rfom2.cli.harmonic_ritz_update, rfom2.cli.subspace_angle
+
+        def failing_update(*args):
+            calls["update"] += 1
+            if calls["update"] == 1:
+                raise RankDeficient("injected")
+            return update(*args)
+
+        def failing_angle(*args):
+            calls["angle"] += 1
+            if calls["angle"] == 1:
+                raise RankDeficient("injected")
+            return angle(*args)
+
+        monkeypatch.setattr(rfom2.cli, "harmonic_ritz_update", failing_update)
+        monkeypatch.setattr(rfom2.cli, "subspace_angle", failing_angle)
+        cfg = ExperimentConfig(problem="laplacian2d", m=8, function="inverse",
+                               j=12, k=4, n_quad=200, n_problems=4,
+                               engines="arnoldi,v2", track_angle=True, seed=5,
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        recycle = [(r["problem_index"], r["status"])
+                   for r in report.select(engine="recycle")]
+        assert recycle == [(1, "error:RankDeficient"), (2, "error:RankDeficient")]
+        v2 = report.select(engine="v2")
+        assert [r["k"] for r in v2] == [0, 0, 4, 4]
+        assert all(r["status"] == "ok" for r in v2)
+        assert [r["subspace_angle"] == "" for r in v2] == [True, True, False, False]
 
     def test_sign_via_invsqrt(self, tmp_path):
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfom2 import (
     CircleContour,
     FunctionSpec,
+    QuadratureRule,
     RecycleSubspace,
     arnoldi,
     arnoldi_direct,
@@ -21,7 +24,7 @@ from rfom2 import (
     trapezoid_contour,
 )
 from rfom2.core import RankDeficient, SingularSystem, lu_solve
-from rfom2.engines import _node_factor, _v2_setup, _vhat_r
+from rfom2.engines import _node_factor, _pencil_node_sum, _v2_pencil
 from rfom2.problems import function_catalog, gen_graded_hermitian, oracle_funm
 
 
@@ -41,7 +44,7 @@ def spd_problem(n=50, seed=0, lam_min=1.0, lam_max=9.0):
 def smw_v3(dec, rec, fun, rule):
     """Reference v3: closed-form f(G) term minus a per-node
     Sherman-Morrison-Woodbury correction through an explicit inverse."""
-    aug, VhWh, blocks, Vhb = _v2_setup(dec, rec)
+    aug, VhWh, _, _, Vhb = _v2_pencil(dec, rec)
     k, kj = aug.k, aug.k + aug.j
     I = np.eye(kj, dtype=np.complex128)
     fG = np.zeros((kj, kj), dtype=np.complex128)
@@ -52,11 +55,17 @@ def smw_v3(dec, rec, fun, rule):
     t = np.zeros(kj, dtype=np.complex128)
     factor = _node_factor(fun, rule)
     for z, w in zip(rule.nodes, rule.weights):
-        B = _vhat_r(aug, blocks, z)
+        B = aug.Vhat.conj().T @ aug.R(z)
         Gzinv = lu_solve(VhWh @ (z * I - aug.G), I)
         s = lu_solve(I + B @ Gzinv, B @ (Gzinv @ Vhb))
         t += w * factor(z) * (Gzinv @ s)
     return closed - aug.Vhat @ t
+
+
+def loop_node_terms(E, F, rhs, nodes, mu):
+    """Reference for the QZ kernel: the terms mu_l (z_l E - F)^{-1} rhs,
+    one LU solve per node."""
+    return np.array([w * lu_solve(z * E - F, rhs) for z, w in zip(nodes, mu)])
 
 
 def eigvec_subspace(A, Q, k):
@@ -230,6 +239,16 @@ class TestRecycledEngines:
         with pytest.raises(SingularSystem, match="V_hat"):
             rfom_v3(self.dec, rec, self.fun, self.rule)
 
+    def test_v2_deflates_u_inside_krylov_space(self):
+        # U on or within 1e-9 of K_j: V_hat^* V_hat has 4 null directions
+        # to working precision, v2 drops them and so matches the plain
+        # quadrature on K_j, up to what the 1e-9 shift of span(V_hat) moves
+        xq = arnoldi_quad(self.dec, self.fun, self.rule)
+        noise = np.random.default_rng(12).standard_normal((80, 4))
+        for shift, tol in ((0.0, 1e-12), (1e-9, 1e-7)):
+            rec = RecycleSubspace.from_basis(self.A, self.dec.Vj[:, :4] + shift * noise)
+            assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), xq) <= tol
+
     def test_d_scaling_invariance(self):
         base2 = rfom_v2(self.dec, self.rec, self.fun, self.rule)
         base3 = rfom_v3(self.dec, self.rec, self.fun, self.rule)
@@ -293,3 +312,75 @@ class TestRecycledEngines:
         sv = svd_values(self.rec.U)
         assert sv[-1] > 1e-12 * sv[0]
         assert self.rec.k == 8
+
+
+def random_unitary(rng, m):
+    X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return np.linalg.qr(X)[0]
+
+
+class TestPencilKernel:
+    """The QZ node-sum kernel of rfom_v2 and rfom_v3 against a per-node LU loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 12), n_nodes=st.integers(1, 24),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_lu_loop(self, m, n_nodes, seed):
+        # singular values of E in [0.5, 2] and of F in [0, 2], nodes with
+        # 6 <= |z| <= 10: every z E - F has condition number at most 22
+        rng = np.random.default_rng(seed)
+        E = (random_unitary(rng, m) * rng.uniform(0.5, 2.0, m)) @ random_unitary(rng, m)
+        F = (random_unitary(rng, m) * rng.uniform(0.0, 2.0, m)) @ random_unitary(rng, m)
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        nodes = rng.uniform(6.0, 10.0, n_nodes) * np.exp(2j * np.pi * rng.uniform(size=n_nodes))
+        mu = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
+        terms = loop_node_terms(E, F, rhs, nodes, mu)
+        got = _pencil_node_sum(E, F, rhs, nodes, mu)
+        # relative to the sum of the terms' sizes, which bounds its rounding
+        scale = np.linalg.norm(terms, axis=1).sum()
+        assert np.linalg.norm(got - terms.sum(axis=0)) <= 1e-12 * scale
+
+    # b = e_1 on tridiag(1, 2, 1): Arnoldi reproduces the leading 5 x 5
+    # block exactly as H, whose middle eigenvalue is exactly 2
+    node_on_ritz_value = QuadratureRule(nodes=[2.5 + 1.0j, 2.0], weights=[1.0, 1.0])
+
+    def tridiag_problem(self):
+        A = np.zeros((40, 40))
+        A[:20, :20] = 2.0 * np.eye(20) + np.eye(20, k=1) + np.eye(20, k=-1)
+        A[20:, 20:] = np.diag(np.linspace(3.0, 9.0, 20))
+        dec = arnoldi(A, np.eye(40)[:, 0], 5)
+        assert np.array_equal(dec.H, A[:5, :5])
+        return A, dec
+
+    def test_v2_node_on_ritz_value_k0(self):
+        _, dec = self.tridiag_problem()
+        with pytest.raises(SingularSystem):
+            rfom_v2(dec, RecycleSubspace.empty(40), function_catalog("inverse"),
+                    self.node_on_ritz_value)
+
+    def test_v2_node_on_ritz_value_k4(self):
+        # U in the second invariant block: V_j is orthogonal to U and C, so
+        # the node matrix is block upper triangular with z I - H in its
+        # lower right block and singular at every Ritz value
+        A, dec = self.tridiag_problem()
+        rng = np.random.default_rng(14)
+        U = np.zeros((40, 4), dtype=np.complex128)
+        U[20:] = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
+        rec = RecycleSubspace.from_basis(A, U)
+        with pytest.raises(SingularSystem):
+            rfom_v2(dec, rec, function_catalog("inverse"), self.node_on_ritz_value)
+
+    def test_v3_node_on_eigenvalue_of_d(self):
+        # G = blockdiag(D, H): a node on an entry of D leaves v2's pencil
+        # regular but makes the correction's z I - G singular
+        A, b, _, _ = spd_problem(seed=15)
+        rng = np.random.default_rng(15)
+        U = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        D = np.diag([0.5, 2.0, 3.0]).astype(np.complex128)
+        rec = RecycleSubspace(U=U, C=A @ U, D=D)
+        dec = arnoldi(A, b, 10)
+        rule = QuadratureRule(nodes=[2.0 + 1.0j, 2.0], weights=[1.0, 1.0])
+        fun = function_catalog("exp")
+        assert np.all(np.isfinite(rfom_v2(dec, rec, fun, rule)))
+        with pytest.raises(SingularSystem):
+            rfom_v3(dec, rec, fun, rule)
