@@ -11,7 +11,12 @@ BREAKDOWN_TOL = 1e-12
 
 
 class LinearOperator:
-    """Square linear operator accessed only through matrix-vector products."""
+    """Square linear operator accessed only through matrix-vector products.
+
+    `apply` takes a vector of length dim or an n x k block of vectors, and
+    returns A v with the input's shape, so the callback must accept both.
+    The wrappers of `as_operator` compute A @ v, which does.
+    """
 
     def __init__(self, dim, apply):
         self.dim = dim
@@ -19,7 +24,7 @@ class LinearOperator:
 
     def apply(self, v):
         out = self._apply(v)
-        return np.asarray(out, dtype=np.complex128).reshape(self.dim)
+        return np.asarray(out, dtype=np.complex128).reshape(np.shape(v))
 
 
 def as_operator(A):

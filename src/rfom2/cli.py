@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .arnoldi import arnoldi, as_operator
-from .core import NoSeparatingContour, ParseError, RFOMError
+from .core import NoSeparatingContour, ParseError, RFOMError, UnknownFunction
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
     rfom_v2, rfom_v3
 from .problems import (
@@ -82,10 +82,10 @@ class ExperimentConfig:
     def engine_list(self):
         names = [e.strip() for e in self.engines.split(",") if e.strip()]
         if not names:
-            raise ValueError("engines must be nonempty")
+            raise ParseError("config key 'engines': must be nonempty")
         for e in names:
             if e not in ENGINES:
-                raise ValueError(f"unknown engine {e!r}")
+                raise ParseError(f"config key 'engines': unknown engine {e!r}")
         return names
 
 
@@ -93,7 +93,7 @@ def parse_config(path, overrides=()):
     """Flat 'key = value' file; '#' and ';' start comments; later keys win.
 
     Raises ParseError, naming the line or the key, on a malformed line,
-    an unknown key or a value of the wrong type.
+    an unknown key, a value of the wrong type or a value no run can use.
     """
     cfg = ExperimentConfig()
     valid = {f.name for f in fields(ExperimentConfig)}
@@ -116,6 +116,7 @@ def parse_config(path, overrides=()):
         if key not in valid:
             raise ParseError(f"unknown config key {key!r}")
         setattr(cfg, key, _parse_value(key, value, type(getattr(cfg, key))))
+    _check_values(cfg)
     return cfg
 
 
@@ -129,6 +130,31 @@ def _parse_value(key, value, kind):
     except (KeyError, ValueError) as exc:
         raise ParseError(f"config key {key!r}: {value!r} is not of type "
                          f"{kind.__name__}") from exc
+
+
+_CHOICES = {
+    "problem": ("laplacian2d", "convdiff2d", "graded_hermitian", "matrix_market"),
+    "quad_kind": ("contour", "stieltjes"),
+    "rhs_policy": ("random_each", "fixed"),
+}
+
+
+def _check_values(cfg):
+    """Raise ParseError, naming the key, for a value that no run can use."""
+    for key, choices in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value not in choices:
+            raise ParseError(f"config key {key!r}: {value!r} is not one of "
+                             f"{', '.join(choices)}")
+    try:
+        function_catalog(cfg.function)
+    except UnknownFunction as exc:
+        raise ParseError(f"config key 'function': unknown function "
+                         f"{cfg.function!r}") from exc
+    if cfg.quad_kind == "stieltjes" and cfg.function != "invsqrt":
+        raise ParseError("config key 'quad_kind': stieltjes quadrature needs "
+                         "function = invsqrt")
+    cfg.engine_list()
 
 
 @dataclass
@@ -192,11 +218,7 @@ def _base_matrix(cfg):
 
 def _make_rule(cfg, dec, fun):
     if cfg.quad_kind == "stieltjes":
-        if cfg.function != "invsqrt":
-            raise ValueError("stieltjes quadrature is only available for invsqrt")
         return stieltjes_invsqrt(cfg.n_quad)
-    if cfg.quad_kind != "contour":
-        raise ValueError(f"unknown quadrature kind {cfg.quad_kind!r}")
     if cfg.contour_center != "auto" and cfg.contour_radius != "auto":
         contour = CircleContour(complex(cfg.contour_center),
                                 float(cfg.contour_radius))
@@ -231,12 +253,18 @@ def _setup(cfg, length, eps):
     """Engine names, function, problem sequence and oracle cache of a config.
 
     The cache is None when the oracle is off or the matrix is too large.
+    Raises ParseError for the values `parse_config` rejects and for a j
+    that is not below the matrix dimension.
     """
+    _check_values(cfg)
     engine_names = cfg.engine_list()
     fun = function_catalog(cfg.function)
     base, base_hermitian = _base_matrix(cfg)
     hermitian = cfg.hermitian or base_hermitian
     n = base.shape[0]
+    if not 1 <= cfg.j < n:
+        raise ParseError(f"config key 'j': {cfg.j} is not at least 1 and below "
+                         f"the matrix dimension {n}")
     seq = ProblemSequence(base=base, length=length, eps=eps,
                           rhs_policy=cfg.rhs_policy, seed=cfg.seed,
                           hermitian=hermitian)
@@ -397,12 +425,16 @@ def main(argv=None):
     p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     args = parser.parse_args(argv)
 
-    cfg = parse_config(args.config, overrides=args.set)
-    if args.command == "run":
-        report = run_experiment(cfg)
-    else:
-        n_list = [int(s) for s in args.nquad.split(",") if s.strip()]
-        report = sweep_quadrature(cfg, n_list)
+    try:
+        cfg = parse_config(args.config, overrides=args.set)
+        if args.command == "run":
+            report = run_experiment(cfg)
+        else:
+            n_list = [int(s) for s in args.nquad.split(",") if s.strip()]
+            report = sweep_quadrature(cfg, n_list)
+    except ParseError as exc:
+        print(f"rfom2: {exc}", file=sys.stderr)
+        return 2
     failures = sum(1 for r in report.rows if r["status"] != "ok")
     print(f"wrote {cfg.output}: {len(report.rows)} rows, {failures} failures")
     return 1 if failures else 0

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import as_operator
-from .core import RankDeficient, generalized_eig, qr_orthonormalize, svd_values
+from .core import RankDeficient, qr_orthonormalize, svd_values
 from .engines import RecycleSubspace, augmented_quantities
 
 
@@ -16,11 +16,11 @@ def harmonic_ritz_pencil(dec, rec):
     The non-orthonormal Wbar columns make this differ from the classical
     recycled-GMRES procedure by the extra Wbar^* Wbar factor.
     """
-    return _pencil(dec, rec, augmented_quantities(dec, rec))
+    return _pencil(dec, augmented_quantities(dec, rec))
 
 
-def _pencil(dec, rec, aug):
-    Wbar = np.concatenate([rec.C, dec.V], axis=1)
+def _pencil(dec, aug):
+    Wbar = np.concatenate([aug.What[:, : aug.k], dec.V], axis=1)
     WG = Wbar @ aug.Gbar
     lhs = WG.conj().T @ WG
     rhs = WG.conj().T @ aug.Vhat
@@ -31,26 +31,17 @@ def harmonic_ritz_update(dec, rec, op, k):
     """New recycle subspace from the k smallest-magnitude harmonic Ritz pairs.
 
     Selecting the smallest |theta| targets functions whose singularity
-    sits at the origin. The returned U has unit columns; C = A U is
-    recomputed with k fresh operator applications, and no QR of C is
-    needed. Numerically dependent selected vectors are dropped (the
-    actual k may shrink).
+    sits at the origin. The pencil is built on the basis with U deflated
+    against K_j; infinite or NaN pairs are skipped. The returned U has
+    unit columns, C = A U is one block apply, and numerically dependent
+    selected vectors are dropped (the actual k may shrink).
     """
     op = as_operator(op)
     if k == 0:
         return RecycleSubspace.empty(op.dim)
     aug = augmented_quantities(dec, rec)
-    lhs, rhs = _pencil(dec, rec, aug)
-    sv = svd_values(rhs)
-    if sv[0] > 0.0 and sv[-1] >= 1e-12 * sv[0]:
-        values, vectors = generalized_eig(lhs, rhs)
-    else:
-        # [U, V_j] can become nearly dependent once the Krylov space
-        # re-converges to the recycled eigenvector approximations; the
-        # pencil's right-hand matrix then fails the nonsingularity guard.
-        # QZ still resolves the well-determined small pairs, the
-        # degenerate ones come back infinite or NaN and are filtered.
-        values, vectors = scipy.linalg.eig(lhs, rhs, check_finite=False)
+    lhs, rhs = _pencil(dec, aug)
+    values, vectors = scipy.linalg.eig(lhs, rhs, check_finite=False)
     order = np.argsort(np.abs(values))
     finite = [i for i in order if np.isfinite(values[i])]
     sel = finite[: min(k, len(finite))]
@@ -68,9 +59,7 @@ def harmonic_ritz_update(dec, rec, op, k):
         keep = diag > 1e-12 * np.max(diag)
         U = U[:, keep]
         U = U / np.linalg.norm(U, axis=0)
-    kept = U.shape[1]
-    C = np.column_stack([op.apply(U[:, i]) for i in range(kept)])
-    return RecycleSubspace(U=U, C=C, D=np.eye(kept, dtype=np.complex128))
+    return RecycleSubspace.from_basis(op, U)
 
 
 def subspace_angle(U, Z):

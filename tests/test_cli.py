@@ -49,12 +49,29 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config(path)
 
-    def test_bad_values_name_the_key(self, tmp_path):
+    def test_bad_values_name_the_key(self, tmp_path, capsys):
         for line, key in (("hermitian = treu", "hermitian"), ("j = 3.5", "j"),
-                          ("eps = small", "eps")):
+                          ("eps = small", "eps"), ("problem = torus", "problem"),
+                          ("quad_kind = gauss", "quad_kind"),
+                          ("rhs_policy = sometimes", "rhs_policy"),
+                          ("function = cosh", "function"),
+                          ("quad_kind = stieltjes\nfunction = inverse", "quad_kind"),
+                          ("engines = arnoldi, gmres", "engines")):
             path = write_config(tmp_path, f"m = 8\n{line}\n")
             with pytest.raises(ParseError, match=repr(key)):
                 parse_config(path)
+        # j is checked against the matrix dimension (36 here) when the run
+        # is set up; main shows a ParseError as one line and exits 2
+        path = write_config(tmp_path, f"m = 6\nj = 40\noutput = {tmp_path / 'j.csv'}\n")
+        with pytest.raises(ParseError, match="'j'"):
+            run_experiment(parse_config(path))
+        capsys.readouterr()
+        for argv in (["run", path], ["sweep", path, "--nquad", "8"],
+                     ["run", path, "--set", "problem=torus"]):
+            assert main(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and len(out.err.strip().splitlines()) == 1
+            assert "'j'" in out.err or "'problem'" in out.err
         path = write_config(tmp_path, "m = 8\n")
         cfg = parse_config(path, overrides=["hermitian=OFF", "track_angle=on"])
         assert cfg.hermitian is False and cfg.track_angle is True

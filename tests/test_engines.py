@@ -24,7 +24,7 @@ from rfom2 import (
     trapezoid_contour,
 )
 from rfom2.core import RankDeficient, SingularSystem, lu_solve
-from rfom2.engines import _node_factor, _pencil_node_sum, _v2_pencil
+from rfom2.engines import _deflate, _node_factor, _pencil_node_sum, _v2_pencil
 from rfom2.problems import function_catalog, gen_graded_hermitian, oracle_funm
 
 
@@ -231,13 +231,26 @@ class TestRecycledEngines:
             x3 = rfom_v3(self.dec, self.rec, fun, rule)
             assert relerr(x3, smw_v3(self.dec, self.rec, fun, rule)) <= 1e-12
 
-    def test_v3_rejects_u_inside_krylov_space(self):
-        # U within 1e-9 of K_j makes V_hat^* W_hat numerically singular;
-        # the splitting identity would otherwise return a wrong answer
+    def test_v3_deflates_u_inside_krylov_space(self):
+        # U on or within 1e-9 of K_j is deflated away entirely, so v3 runs
+        # on K_j alone instead of failing its V_hat^* W_hat guard
+        x0 = rfom_v3(self.dec, RecycleSubspace.empty(80), self.fun, self.rule)
         noise = np.random.default_rng(12).standard_normal((80, 4))
-        rec = RecycleSubspace.from_basis(self.A, self.dec.Vj[:, :4] + 1e-9 * noise)
+        for shift in (0.0, 1e-9):
+            rec = RecycleSubspace.from_basis(self.A, self.dec.Vj[:, :4] + shift * noise)
+            assert relerr(rfom_v3(self.dec, rec, self.fun, self.rule), x0) <= 1e-13
+
+    def test_v3_rejects_singular_vhat_what(self):
+        # U in the null space of A and orthogonal to K_j: C = 0, nothing is
+        # deflated, and V_hat^* W_hat = blockdiag(0, I) fails the guard
+        A = np.diag(np.concatenate([np.zeros(2), np.linspace(1.0, 9.0, 48)]))
+        b = np.concatenate([np.zeros(2), np.random.default_rng(13).standard_normal(48)])
+        dec = arnoldi(A, b, 10)
+        rec = RecycleSubspace.from_basis(A, np.eye(50)[:, :2])
+        assert np.array_equal(rec.C, np.zeros((50, 2)))
+        rule = trapezoid_contour(CircleContour(5.0 + 0.0j, 5.0), 64)
         with pytest.raises(SingularSystem, match="V_hat"):
-            rfom_v3(self.dec, rec, self.fun, self.rule)
+            rfom_v3(dec, rec, function_catalog("exp"), rule)
 
     def test_v2_deflates_u_inside_krylov_space(self):
         # U on or within 1e-9 of K_j: V_hat^* V_hat has 4 null directions
@@ -312,6 +325,43 @@ class TestRecycledEngines:
         sv = svd_values(self.rec.U)
         assert sv[-1] > 1e-12 * sv[0]
         assert self.rec.k == 8
+
+
+class TestDeflation:
+    """The one rank decision of [U D, V_j]: U deflated against K_j."""
+
+    def setup_method(self):
+        self.A, b, lam, _ = spd_problem(seed=16)
+        self.dec = arnoldi(self.A, b, 12)
+        self.fun = function_catalog("inverse")
+        contour = guarded_contour(lam.astype(complex), 0.1, singularity=0.0)
+        self.rule = trapezoid_contour(contour, 400)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_in=st.integers(1, 4), n_rand=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drops_exactly_the_krylov_columns(self, n_in, n_rand, seed):
+        # U = [columns on K_j, random columns] with a random diagonal D:
+        # the deflated subspace keeps one column per random column, stays
+        # consistent (A U' = C') and gives v2 the Galerkin result on
+        # span[U, V_j], which v1 computes from the random columns alone
+        # (v1 on the raw U meets an exactly singular system)
+        rng = np.random.default_rng(seed)
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        R = cplx(50, n_rand)
+        U = np.concatenate([self.dec.Vj @ cplx(12, n_in), R], axis=1)
+        D = np.diag(rng.uniform(0.5, 3.0, n_in + n_rand)).astype(np.complex128)
+        rec = RecycleSubspace(U=U, C=self.A @ U, D=D)
+        out = _deflate(self.dec, rec)
+        assert out.k == n_rand
+        assert np.linalg.norm(self.A @ out.U - out.C) <= 1e-12 * np.linalg.norm(out.C)
+        x1 = rfom_v1(self.dec, RecycleSubspace.from_basis(self.A, R), self.fun, self.rule)
+        assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), x1) <= 1e-10
+
+    def test_full_rank_subspace_is_kept(self):
+        rng = np.random.default_rng(17)
+        rec = RecycleSubspace.from_basis(self.A, rng.standard_normal((50, 4)))
+        assert _deflate(self.dec, rec) is rec
 
 
 def random_unitary(rng, m):
