@@ -155,6 +155,36 @@ def _check_values(cfg):
         raise ParseError("config key 'quad_kind': stieltjes quadrature needs "
                          "function = invsqrt")
     cfg.engine_list()
+    _check_n_quad(cfg.quad_kind, cfg.n_quad, "config key 'n_quad'")
+    for key, least in (("k", 0), ("n_problems", 1)):
+        if getattr(cfg, key) < least:
+            raise ParseError(f"config key {key!r}: {getattr(cfg, key)} is below {least}")
+    if not 0.0 < cfg.contour_margin < np.inf:
+        raise ParseError(f"config key 'contour_margin': {cfg.contour_margin} "
+                         "is not a positive number")
+    for key, kind, ok, what in (
+            ("contour_center", complex, np.isfinite, "a complex number"),
+            ("contour_radius", float, lambda r: 0.0 < r < np.inf, "a positive number")):
+        value = getattr(cfg, key)
+        if value == "auto":
+            continue
+        try:
+            good = ok(kind(value))
+        except ValueError:
+            good = False
+        if not good:
+            raise ParseError(f"config key {key!r}: {value!r} is neither auto "
+                             f"nor {what}")
+
+
+_LEAST_NODES = {"contour": 2, "stieltjes": 1}
+
+
+def _check_n_quad(quad_kind, n_quad, what):
+    least = _LEAST_NODES[quad_kind]
+    if n_quad < least:
+        raise ParseError(f"{what}: {n_quad} is below {least}, the fewest "
+                         f"nodes of a {quad_kind} rule")
 
 
 @dataclass
@@ -390,6 +420,10 @@ def sweep_quadrature(cfg, n_list):
     the sweep exposes where each engine's error stagnates.
     """
     engine_names, fun, seq, cache = _setup(cfg, 1, 0.0)
+    if len(n_list) == 0:
+        raise ParseError("--nquad: no node counts")
+    for nq in n_list:
+        _check_n_quad(cfg.quad_kind, nq, "--nquad")
     A, b = next(gen_perturbation_sequence(seq))
     dec = arnoldi(as_operator(A), b, cfg.j, reorth=True)
     report = RunReport(path=cfg.output)
@@ -430,7 +464,11 @@ def main(argv=None):
         if args.command == "run":
             report = run_experiment(cfg)
         else:
-            n_list = [int(s) for s in args.nquad.split(",") if s.strip()]
+            try:
+                n_list = [int(s) for s in args.nquad.split(",") if s.strip()]
+            except ValueError as exc:
+                raise ParseError(f"--nquad: {args.nquad!r} is not a "
+                                 "comma-separated list of integers") from exc
             report = sweep_quadrature(cfg, n_list)
     except ParseError as exc:
         print(f"rfom2: {exc}", file=sys.stderr)

@@ -5,8 +5,10 @@ three recycled engines consume an additional augmentation subspace U
 with C = A U carried across problems. All engines are pure functions of
 (decomposition, subspace, function, rule). `arnoldi_quad` and `rfom_v1`
 accumulate their quadrature sums node by node in ascending node order;
-`rfom_v2` and `rfom_v3` reduce their node systems to triangular form
-with one QZ decomposition and sum over all nodes at once.
+`rfom_v2` reduces its node systems to triangular form with one QZ
+decomposition and sums over all nodes at once. `rfom_v3` is `rfom_v2`
+plus the plain Krylov quadrature error V_j (f(H) - q(H)) beta e_1, whose
+node sum q(H) beta e_1 goes through the same QZ kernel.
 """
 
 from dataclasses import dataclass, field
@@ -108,10 +110,11 @@ class AugmentedQuantities:
 
 
 # Relative cut, against ||U D||_2, on the singular values of U D's part
-# outside K_j. v3's guard needs sigma_min(V_hat^* W_hat) >= 1e-12 sigma_max,
-# and that ratio scales like the square of the smallest kept singular
-# value. On 30 recycled graded n=900 sequences (j=50, k=20) it stayed at
-# or above 5.8e-12 with 1e-5; with 1e-6 it fell below 1e-12 on 7 of 60.
+# outside K_j. The condition numbers of v2's pencil E = V_hat^* V_hat and
+# of the harmonic Ritz pencil grow like the inverse square of the smallest
+# kept singular value. On 3 recycled graded n=900 sequences (j=50, k=20,
+# 4 problems each) they stayed at or below 1.3e10 and 1.7e10 with 1e-5;
+# with 1e-6 they reached 1.2e12 and 2.2e12.
 DEFLATION_TOL = 1e-5
 
 
@@ -286,7 +289,7 @@ def _v2_pencil(dec, rec):
     columns and N = (U D)^* tail in rows :k of the last column (V_j^* tail
     vanishes), so E = V_hat^* W_hat + P = V_hat^* V_hat and
     F = V_hat^* W_hat G - N = V_hat^* A V_hat, on the deflated basis of
-    `aug`. Returns (aug, V_hat^* W_hat, E, F, V_hat^* b).
+    `aug`. Returns (aug, E, F, V_hat^* b).
     """
     aug = augmented_quantities(dec, rec)
     k, j = aug.k, aug.j
@@ -302,7 +305,7 @@ def _v2_pencil(dec, rec):
     F = VhWh @ aug.G
     F[:k, k + j - 1] -= Us.conj().T @ aug.tail
     Vhb = np.concatenate([Us.conj().T @ dec.b, dec.beta * np.eye(j, 1, dtype=np.complex128)[:, 0]])
-    return aug, VhWh, E, F, Vhb
+    return aug, E, F, Vhb
 
 
 def rfom_v2(dec, rec, fun, rule):
@@ -311,45 +314,27 @@ def rfom_v2(dec, rec, fun, rule):
     The node systems form the pencil z E - F of `_v2_pencil`; one QZ
     reduction serves all of them.
     """
-    aug, _, E, F, Vhb = _v2_pencil(dec, rec)
+    aug, E, F, Vhb = _v2_pencil(dec, rec)
     return aug.Vhat @ _pencil_node_sum(E, F, Vhb, rule.nodes, _node_weights(fun, rule))
 
 
 def rfom_v3(dec, rec, fun, rule):
-    """Closed-form f(G) term plus a quadrature correction integral.
+    """rfom_v2 plus the plain Krylov quadrature error V_j (f(H) - q(H)) beta e_1.
 
-    With y0 = (V_hat^* W_hat)^{-1} V_hat^* b, the splitting
+    The paper's v3 evaluates f(G) y0 in closed form, y0 = (V_hat^* W_hat)^{-1}
+    V_hat^* b, and leaves a correction to the quadrature:
 
-        v3 = V_hat (f(G) y0 + sum_l w_l f(z_l) [u(z_l) - (z_l I - G)^{-1} y0])
+        v3 = v2 + V_hat (f(G) y0 - sum_l mu_l (z_l I - G)^{-1} y0).
 
-    equals v2 plus V_hat (f(G) y0 - sum_l w_l f(z_l) (z_l I - G)^{-1} y0),
-    where u(z) is v2's compact solution at node z. The bulk of the
-    approximation moves into the direct evaluation of f on the augmented
-    Hessenberg matrix, so fewer quadrature nodes are needed for the same
-    accuracy. Both node sums go through the QZ kernel: v2's on the pencil
-    (E, F), the correction's on (I, G). U is deflated against K_j first,
-    so a U inside K_j is dropped; raises SingularSystem when V_hat^* W_hat
-    is still numerically singular (smallest singular value below 1e-12 of
-    the largest), e.g. when C = A U loses rank.
+    Arnoldi starts from b, so V_hat^* W_hat [0; beta e_1] = V_hat^* b and
+    y0 = [0; beta e_1]: its U block vanishes, D drops out, and the
+    correction is V_j (f(H) - q(H)) beta e_1, with q(H) the quadrature of
+    f on H. So v3 gains over v2 only in the Krylov part. Its cost is v2's
+    plus one j x j QZ of (I, H) and a dense f(H); it fails only where v2,
+    the (I, H) node sum or f(H) fails.
     """
-    aug, VhWh, E, F, Vhb = _v2_pencil(dec, rec)
-    k = aug.k
-    sv = svd_values(VhWh)
-    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
-        raise SingularSystem("V_hat^* W_hat is numerically singular")
-    try:
-        y0 = lu_solve(VhWh, Vhb)
-    except SingularMatrix as exc:
-        raise SingularSystem("V_hat^* W_hat is numerically singular") from exc
-
-    # f(G) y0 evaluated blockwise; G is block diagonal by construction
-    fGy0 = np.zeros_like(y0)
-    if k:
-        fGy0[:k] = fun.dense_f(aug.G[:k, :k]) @ y0[:k]
-    fGy0[k:] = fun.dense_f(dec.H) @ y0[k:]
-
-    mu = _node_weights(fun, rule)
-    I = np.eye(k + aug.j, dtype=np.complex128)
-    t = _pencil_node_sum(E, F, Vhb, rule.nodes, mu) \
-        - _pencil_node_sum(I, aug.G, y0, rule.nodes, mu)
-    return aug.Vhat @ (fGy0 + t)
+    beta_e1 = dec.beta * np.eye(dec.j, 1, dtype=np.complex128)[:, 0]
+    q = _pencil_node_sum(np.eye(dec.j, dtype=np.complex128), dec.H, beta_e1,
+                         rule.nodes, _node_weights(fun, rule))
+    c = dec.beta * fun.dense_f(dec.H)[:, 0] - q
+    return rfom_v2(dec, rec, fun, rule) + dec.Vj @ c

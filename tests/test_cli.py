@@ -56,7 +56,19 @@ class TestParseConfig:
                           ("rhs_policy = sometimes", "rhs_policy"),
                           ("function = cosh", "function"),
                           ("quad_kind = stieltjes\nfunction = inverse", "quad_kind"),
-                          ("engines = arnoldi, gmres", "engines")):
+                          ("engines = arnoldi, gmres", "engines"),
+                          ("n_quad = 1", "n_quad"),
+                          ("quad_kind = stieltjes\nfunction = invsqrt\nn_quad = 0",
+                           "n_quad"),
+                          ("k = -1", "k"), ("n_problems = 0", "n_problems"),
+                          ("contour_margin = -1", "contour_margin"),
+                          ("contour_margin = 0", "contour_margin"),
+                          ("contour_center = abc\ncontour_radius = 2",
+                           "contour_center"),
+                          ("contour_center = 1+nanj", "contour_center"),
+                          ("contour_center = 5\ncontour_radius = -2",
+                           "contour_radius"),
+                          ("contour_radius = wide", "contour_radius")):
             path = write_config(tmp_path, f"m = 8\n{line}\n")
             with pytest.raises(ParseError, match=repr(key)):
                 parse_config(path)
@@ -72,6 +84,12 @@ class TestParseConfig:
             out = capsys.readouterr()
             assert out.out == "" and len(out.err.strip().splitlines()) == 1
             assert "'j'" in out.err or "'problem'" in out.err
+        # sweep's node counts get the n_quad check
+        path = write_config(tmp_path, f"m = 6\nj = 10\noutput = {tmp_path / 's.csv'}\n")
+        for nquad in ("8,1", "8,x", ","):
+            assert main(["sweep", path, "--nquad", nquad]) == 2
+            err = capsys.readouterr().err
+            assert "--nquad" in err and len(err.strip().splitlines()) == 1
         path = write_config(tmp_path, "m = 8\n")
         cfg = parse_config(path, overrides=["hermitian=OFF", "track_angle=on"])
         assert cfg.hermitian is False and cfg.track_angle is True

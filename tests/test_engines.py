@@ -1,4 +1,4 @@
-"""The four f(A)b engines and their reduction/equivalence identities."""
+"""The five f(A)b engines and their reduction/equivalence identities."""
 
 import numpy as np
 import pytest
@@ -44,7 +44,8 @@ def spd_problem(n=50, seed=0, lam_min=1.0, lam_max=9.0):
 def smw_v3(dec, rec, fun, rule):
     """Reference v3: closed-form f(G) term minus a per-node
     Sherman-Morrison-Woodbury correction through an explicit inverse."""
-    aug, VhWh, _, _, Vhb = _v2_pencil(dec, rec)
+    aug, _, _, Vhb = _v2_pencil(dec, rec)
+    VhWh = aug.Vhat.conj().T @ aug.What
     k, kj = aug.k, aug.k + aug.j
     I = np.eye(kj, dtype=np.complex128)
     fG = np.zeros((kj, kj), dtype=np.complex128)
@@ -60,6 +61,12 @@ def smw_v3(dec, rec, fun, rule):
         s = lu_solve(I + B @ Gzinv, B @ (Gzinv @ Vhb))
         t += w * factor(z) * (Gzinv @ s)
     return closed - aug.Vhat @ t
+
+
+def v2_plus_krylov_error(dec, rec, fun, rule):
+    """v3's identity: v2 plus the plain Krylov quadrature error."""
+    return rfom_v2(dec, rec, fun, rule) + arnoldi_direct(dec, fun) \
+        - arnoldi_quad(dec, fun, rule)
 
 
 def loop_node_terms(E, F, rhs, nodes, mu):
@@ -240,17 +247,25 @@ class TestRecycledEngines:
             rec = RecycleSubspace.from_basis(self.A, self.dec.Vj[:, :4] + shift * noise)
             assert relerr(rfom_v3(self.dec, rec, self.fun, self.rule), x0) <= 1e-13
 
-    def test_v3_rejects_singular_vhat_what(self):
+    def test_v3_with_zero_c_follows_v2(self):
         # U in the null space of A and orthogonal to K_j: C = 0, nothing is
-        # deflated, and V_hat^* W_hat = blockdiag(0, I) fails the guard
+        # deflated, and 0, the eigenvalue of the pencil's U block, is a
+        # node of the radius 5 circle, so v2 and v3 raise alike; on the
+        # radius 4.9 circle both succeed and v3 is v2 plus the Krylov error
         A = np.diag(np.concatenate([np.zeros(2), np.linspace(1.0, 9.0, 48)]))
         b = np.concatenate([np.zeros(2), np.random.default_rng(13).standard_normal(48)])
         dec = arnoldi(A, b, 10)
         rec = RecycleSubspace.from_basis(A, np.eye(50)[:, :2])
         assert np.array_equal(rec.C, np.zeros((50, 2)))
+        fun = function_catalog("exp")
         rule = trapezoid_contour(CircleContour(5.0 + 0.0j, 5.0), 64)
-        with pytest.raises(SingularSystem, match="V_hat"):
-            rfom_v3(dec, rec, function_catalog("exp"), rule)
+        for engine in (rfom_v2, rfom_v3):
+            with pytest.raises(SingularSystem):
+                engine(dec, rec, fun, rule)
+        rule = trapezoid_contour(CircleContour(5.0 + 0.0j, 4.9), 64)
+        x3 = rfom_v3(dec, rec, fun, rule)
+        assert np.all(np.isfinite(x3))
+        assert relerr(x3, v2_plus_krylov_error(dec, rec, fun, rule)) <= 1e-12
 
     def test_v2_deflates_u_inside_krylov_space(self):
         # U on or within 1e-9 of K_j: V_hat^* V_hat has 4 null directions
@@ -282,7 +297,7 @@ class TestRecycledEngines:
 
     def test_v3_beats_v1_at_small_nquad(self):
         # inverse square root via 5 Stieltjes nodes: the closed-form
-        # f(G) term makes v3 the more accurate engine at equal nodes
+        # f(H) term makes v3 the more accurate engine at equal nodes
         dec = arnoldi(self.A, self.b, 10)
         rec = eigvec_subspace(self.A, self.Q, 8)
         fun = function_catalog("invsqrt")
@@ -364,13 +379,45 @@ class TestDeflation:
         assert _deflate(self.dec, rec) is rec
 
 
+class TestV3Identity:
+    """rfom_v3 = rfom_v2 + V_j (f(H) - q(H)) beta e_1 against the SMW reference."""
+
+    def setup_method(self):
+        self.A, b, lam, _ = spd_problem(seed=18)
+        self.dec = arnoldi(self.A, b, 12)
+        self.contour = guarded_contour(lam.astype(complex), 0.1, singularity=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 6), circle=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_smw(self, k, circle, seed):
+        # U with unit columns, as the harmonic Ritz update makes it, and a
+        # complex diagonal D within half the radius of the contour's centre,
+        # so the SMW reference's z I - G stays regular at every node
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((50, k)) + 1j * rng.standard_normal((50, k))
+        U /= np.linalg.norm(U, axis=0)
+        c = self.contour
+        d = c.center + 0.5 * c.radius * rng.uniform(0.0, 1.0, k) \
+            * np.exp(2j * np.pi * rng.uniform(size=k))
+        rec = RecycleSubspace(U=U, C=self.A @ U, D=np.diag(d))
+        if circle:
+            fun = function_catalog(("inverse", "exp", "log", "sqrt")[rng.integers(4)])
+            rule = trapezoid_contour(c, int(rng.integers(16, 129)))
+        else:
+            fun = function_catalog("invsqrt")
+            rule = stieltjes_invsqrt(int(rng.integers(1, 31)))
+        x3 = rfom_v3(self.dec, rec, fun, rule)
+        assert relerr(x3, smw_v3(self.dec, rec, fun, rule)) <= 1e-12
+
+
 def random_unitary(rng, m):
     X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return np.linalg.qr(X)[0]
 
 
 class TestPencilKernel:
-    """The QZ node-sum kernel of rfom_v2 and rfom_v3 against a per-node LU loop."""
+    """The QZ node-sum kernel, of v2's pencil and of v3's (I, H), against a
+    per-node LU loop."""
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(1, 12), n_nodes=st.integers(1, 24),
@@ -422,7 +469,7 @@ class TestPencilKernel:
 
     def test_v3_node_on_eigenvalue_of_d(self):
         # G = blockdiag(D, H): a node on an entry of D leaves v2's pencil
-        # regular but makes the correction's z I - G singular
+        # regular, and v3 never solves with z I - G, since D drops out
         A, b, _, _ = spd_problem(seed=15)
         rng = np.random.default_rng(15)
         U = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
@@ -432,5 +479,6 @@ class TestPencilKernel:
         rule = QuadratureRule(nodes=[2.0 + 1.0j, 2.0], weights=[1.0, 1.0])
         fun = function_catalog("exp")
         assert np.all(np.isfinite(rfom_v2(dec, rec, fun, rule)))
-        with pytest.raises(SingularSystem):
-            rfom_v3(dec, rec, fun, rule)
+        x3 = rfom_v3(dec, rec, fun, rule)
+        assert np.all(np.isfinite(x3))
+        assert relerr(x3, v2_plus_krylov_error(dec, rec, fun, rule)) <= 1e-12
