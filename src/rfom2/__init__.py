@@ -31,7 +31,6 @@ from .engines import (
     arnoldi_direct,
     arnoldi_quad,
     augmented_quantities,
-    choose_D,
     rfom_v1,
     rfom_v2,
     rfom_v3,

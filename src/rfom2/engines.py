@@ -3,12 +3,12 @@
 `arnoldi_direct` and `arnoldi_quad` are the plain Krylov baselines; the
 three recycled engines consume an additional augmentation subspace U
 with C = A U carried across problems. All engines are pure functions of
-(decomposition, subspace, function, rule). `arnoldi_quad` and `rfom_v1`
-accumulate their quadrature sums node by node in ascending node order;
-`rfom_v2` reduces its node systems to triangular form with one QZ
-decomposition and sums over all nodes at once. `rfom_v3` is `rfom_v2`
-plus the plain Krylov quadrature error V_j (f(H) - q(H)) beta e_1, whose
-node sum q(H) beta e_1 goes through the same QZ kernel.
+(decomposition, subspace, function, rule). Only `rfom_v1`, the
+independent reference, accumulates its quadrature sum node by node, in
+ascending node order. `arnoldi_quad` and `rfom_v2` reduce their node
+systems to triangular form with one QZ decomposition and sum over all
+nodes at once. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature
+error `arnoldi_direct - arnoldi_quad`.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,6 @@ import scipy.linalg
 from .arnoldi import ArnoldiDecomposition, as_operator
 from .core import (
     NoConvergence,
-    RankDeficient,
     SingularMatrix,
     SingularProjector,
     SingularShift,
@@ -58,29 +57,11 @@ class RecycleSubspace:
         return cls(U=z, C=z.copy(), D=np.zeros((0, 0), dtype=np.complex128))
 
     @classmethod
-    def from_basis(cls, op, U, d_policy="identity"):
-        """Build a subspace from basis columns; C = A U is one block apply."""
+    def from_basis(cls, op, U):
+        """Build a subspace with D = I from basis columns; C = A U is one block apply."""
         op = as_operator(op)
         U = np.asarray(U, dtype=np.complex128)
-        return cls(U=U, C=op.apply(U), D=choose_D(U, d_policy))
-
-
-def choose_D(U, policy="identity"):
-    """Diagonal scaling for the augmentation basis.
-
-    "identity" returns I_k; "unit_columns" returns the diagonal that
-    rescales every column of U to unit norm.
-    """
-    U = np.asarray(U, dtype=np.complex128)
-    k = U.shape[1]
-    if policy == "identity":
-        return np.eye(k, dtype=np.complex128)
-    if policy == "unit_columns":
-        norms = np.linalg.norm(U, axis=0)
-        if k and (np.max(norms) == 0.0 or np.min(norms) < 1e-14 * np.max(norms)):
-            raise RankDeficient("U has a (numerically) zero column")
-        return np.diag(1.0 / norms).astype(np.complex128)
-    raise ValueError(f"unknown D policy: {policy}")
+        return cls(U=U, C=op.apply(U), D=np.eye(U.shape[1], dtype=np.complex128))
 
 
 @dataclass
@@ -172,21 +153,11 @@ def arnoldi_direct(dec, fun):
 
 
 def arnoldi_quad(dec, fun, rule):
-    """Quadrature form of the Arnoldi approximation (the "Arnoldi (q)" baseline)."""
-    j = dec.j
-    rhs = np.zeros(j, dtype=np.complex128)
-    rhs[0] = dec.beta  # V_j^* b exactly, since v_1 = b/||b||
-    Ij = np.eye(j, dtype=np.complex128)
-    acc = np.zeros(j, dtype=np.complex128)
-    factor = _node_factor(fun, rule)
-    for z, w in zip(rule.nodes, rule.weights):
-        mu = w * factor(z)
-        try:
-            y = lu_solve(z * Ij - dec.H, rhs)
-        except SingularMatrix as exc:
-            raise SingularShift(f"quadrature node {z} hits the spectrum of H_j") from exc
-        acc += mu * y
-    return dec.Vj @ acc
+    """Quadrature form of the Arnoldi approximation (the "Arnoldi (q)" baseline),
+    V_j q(H_j) beta e_1, with the node sum over the pencil (I_j, H_j)."""
+    beta_e1 = dec.beta * np.eye(dec.j, 1, dtype=np.complex128)[:, 0]  # V_j^* b
+    return dec.Vj @ _pencil_node_sum(np.eye(dec.j, dtype=np.complex128), dec.H, beta_e1,
+                                     rule.nodes, _node_weights(fun, rule))
 
 
 def rfom_v1(dec, rec, fun, rule):
@@ -312,10 +283,16 @@ def rfom_v2(dec, rec, fun, rule):
     """Compact recycled approximation: one (k+j) system per quadrature node.
 
     The node systems form the pencil z E - F of `_v2_pencil`; one QZ
-    reduction serves all of them.
+    reduction serves all of them. QZ loses digits when the columns of
+    V_hat differ widely in length, so the pencil is balanced first by the
+    exact power-of-two diagonal s = 2^-round(log2 sqrt(diag E)); unit
+    columns, every V_j column among them, get s = 1.
     """
     aug, E, F, Vhb = _v2_pencil(dec, rec)
-    return aug.Vhat @ _pencil_node_sum(E, F, Vhb, rule.nodes, _node_weights(fun, rule))
+    s = 2.0 ** -np.round(np.log2(np.sqrt(np.diag(E).real)))
+    y = _pencil_node_sum(s[:, None] * E * s, s[:, None] * F * s, s * Vhb,
+                         rule.nodes, _node_weights(fun, rule))
+    return aug.Vhat @ (s * y)
 
 
 def rfom_v3(dec, rec, fun, rule):
@@ -328,13 +305,8 @@ def rfom_v3(dec, rec, fun, rule):
 
     Arnoldi starts from b, so V_hat^* W_hat [0; beta e_1] = V_hat^* b and
     y0 = [0; beta e_1]: its U block vanishes, D drops out, and the
-    correction is V_j (f(H) - q(H)) beta e_1, with q(H) the quadrature of
-    f on H. So v3 gains over v2 only in the Krylov part. Its cost is v2's
-    plus one j x j QZ of (I, H) and a dense f(H); it fails only where v2,
-    the (I, H) node sum or f(H) fails.
+    correction is V_j (f(H) - q(H)) beta e_1 = arnoldi_direct - arnoldi_quad,
+    with q(H) the quadrature of f on H. So v3 gains over v2 only in the
+    Krylov part, and it fails only where v2, arnoldi_quad or f(H) fails.
     """
-    beta_e1 = dec.beta * np.eye(dec.j, 1, dtype=np.complex128)[:, 0]
-    q = _pencil_node_sum(np.eye(dec.j, dtype=np.complex128), dec.H, beta_e1,
-                         rule.nodes, _node_weights(fun, rule))
-    c = dec.beta * fun.dense_f(dec.H)[:, 0] - q
-    return rfom_v2(dec, rec, fun, rule) + dec.Vj @ c
+    return rfom_v2(dec, rec, fun, rule) + arnoldi_direct(dec, fun) - arnoldi_quad(dec, fun, rule)
