@@ -25,12 +25,11 @@ from .core import (
     svd_values,
 )
 from .engines import (
-    AugmentedQuantities,
     FunctionSpec,
     RecycleSubspace,
     arnoldi_direct,
     arnoldi_quad,
-    augmented_quantities,
+    augmented_basis,
     rfom_v1,
     rfom_v2,
     rfom_v3,

@@ -64,10 +64,6 @@ class ArnoldiDecomposition:
         return self.V[:, : self.j]
 
     @property
-    def h_tail(self):
-        return self.Hbar[self.j, self.j - 1]
-
-    @property
     def b(self):
         return self.beta * self.V[:, 0]
 

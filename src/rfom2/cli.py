@@ -175,6 +175,11 @@ def _check_values(cfg):
         if not good:
             raise ParseError(f"config key {key!r}: {value!r} is neither auto "
                              f"nor {what}")
+    for key, other in (("contour_center", "contour_radius"),
+                       ("contour_radius", "contour_center")):
+        if getattr(cfg, key) != "auto" and getattr(cfg, other) == "auto":
+            raise ParseError(f"config key {key!r}: set without {other!r}; a "
+                             "fixed contour needs both")
 
 
 _LEAST_NODES = {"contour": 2, "stieltjes": 1}
@@ -249,12 +254,12 @@ def _base_matrix(cfg):
 def _make_rule(cfg, dec, fun):
     if cfg.quad_kind == "stieltjes":
         return stieltjes_invsqrt(cfg.n_quad)
-    if cfg.contour_center != "auto" and cfg.contour_radius != "auto":
+    if cfg.contour_center != "auto":  # _check_values: then the radius is set too
         contour = CircleContour(complex(cfg.contour_center),
                                 float(cfg.contour_radius))
     else:
-        # Ritz values of H_j only: the per-node augmented system equals the
-        # projected resolvent, so its poles track the spectrum of A, not D
+        # Ritz values of H_j only: the per-node augmented system is the
+        # projected resolvent, so its poles track the spectrum of A
         estimates = np.linalg.eigvals(dec.H)
         contour = guarded_contour(estimates, cfg.contour_margin,
                                   singularity=fun.singularity)
@@ -395,8 +400,14 @@ def run_experiment(cfg):
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
     rec = RecycleSubspace.empty(seq.base.shape[0])
+    previous = None
     for i, (A, b) in enumerate(gen_perturbation_sequence(seq), start=1):
         op = as_operator(A)
+        if rec.k and A is not previous:
+            # the update made C = A U for the previous matrix; the engines
+            # need it for this one (one block apply, none on a fixed matrix)
+            rec = RecycleSubspace.from_basis(op, rec.U)
+        previous = A
         dec = arnoldi(op, b, cfg.j, reorth=True)
         row = dict(problem_index=i, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
         eig, reference = _oracle_step(cache, fun, A, b, report, row)

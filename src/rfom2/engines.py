@@ -11,7 +11,7 @@ nodes at once. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature
 error `arnoldi_direct - arnoldi_quad`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,11 +41,14 @@ class FunctionSpec:
 
 @dataclass
 class RecycleSubspace:
-    """Augmentation subspace U with its image C = A U and diagonal scaling D."""
+    """Augmentation subspace U with its image C = A U.
+
+    The recycled engines depend on U only through span(U), so its columns
+    may have any lengths.
+    """
 
     U: np.ndarray
     C: np.ndarray
-    D: np.ndarray
 
     @property
     def k(self):
@@ -54,43 +57,16 @@ class RecycleSubspace:
     @classmethod
     def empty(cls, n):
         z = np.zeros((n, 0), dtype=np.complex128)
-        return cls(U=z, C=z.copy(), D=np.zeros((0, 0), dtype=np.complex128))
+        return cls(U=z, C=z.copy())
 
     @classmethod
     def from_basis(cls, op, U):
-        """Build a subspace with D = I from basis columns; C = A U is one block apply."""
-        op = as_operator(op)
+        """Build a subspace from basis columns; C = A U is one block apply."""
         U = np.asarray(U, dtype=np.complex128)
-        return cls(U=U, C=op.apply(U), D=np.eye(U.shape[1], dtype=np.complex128))
+        return cls(U=U, C=as_operator(op).apply(U))
 
 
-@dataclass
-class AugmentedQuantities:
-    """Augmented basis matrices and the shifted residual-term builder.
-
-    Satisfies (sigma I - A) Vhat = What (sigma I - G) + R(sigma) for all
-    shifts, where Vhat = [U D, V_j], What = [C, V_j] and
-    G = blockdiag(D, H_j).
-    """
-
-    Vhat: np.ndarray
-    What: np.ndarray
-    G: np.ndarray
-    Gbar: np.ndarray
-    UmC: np.ndarray = field(repr=False)
-    tail: np.ndarray = field(repr=False)
-    j: int = 0
-    k: int = 0
-
-    def R(self, sigma):
-        n = self.Vhat.shape[0]
-        out = np.zeros((n, self.k + self.j), dtype=np.complex128)
-        out[:, : self.k] = sigma * self.UmC
-        out[:, self.k + self.j - 1] = self.tail
-        return out
-
-
-# Relative cut, against ||U D||_2, on the singular values of U D's part
+# Relative cut, against ||U||_2, on the singular values of U's part
 # outside K_j. The condition numbers of v2's pencil E = V_hat^* V_hat and
 # of the harmonic Ritz pencil grow like the inverse square of the smallest
 # kept singular value. On 3 recycled graded n=900 sequences (j=50, k=20,
@@ -100,39 +76,31 @@ DEFLATION_TOL = 1e-5
 
 
 def _deflate(dec, rec):
-    """U' = U D X, C' = C D X, D' = I, with X the right singular vectors of
-    (I - V_j V_j^*) U D above DEFLATION_TOL ||U D||_2; rec when X keeps all.
+    """U' = U X, C' = C X, with X the right singular vectors of
+    (I - V_j V_j^*) U above DEFLATION_TOL ||U||_2; rec when X keeps all.
     """
     if rec.k == 0:
         return rec
-    Us = rec.U @ rec.D
-    _, s, Xh = np.linalg.svd(Us - dec.Vj @ (dec.Vj.conj().T @ Us), full_matrices=False)
-    keep = s > DEFLATION_TOL * svd_values(Us)[0]
+    U = rec.U
+    _, s, Xh = np.linalg.svd(U - dec.Vj @ (dec.Vj.conj().T @ U), full_matrices=False)
+    keep = s > DEFLATION_TOL * svd_values(U)[0]
     if keep.all():
         return rec
     X = Xh[keep].conj().T
-    return RecycleSubspace(U=Us @ X, C=rec.C @ (rec.D @ X),
-                           D=np.eye(X.shape[1], dtype=np.complex128))
+    return RecycleSubspace(U=U @ X, C=rec.C @ X)
 
 
-def augmented_quantities(dec, rec):
-    """Assemble the augmented basis, with U deflated against K_j first."""
+def augmented_basis(dec, rec):
+    """(V_hat, A V_hat) = ([U, V_j], [C, V_{j+1} Hbar]), with U deflated
+    against K_j first.
+
+    C = A U and the Arnoldi relation A V_j = V_{j+1} Hbar give A V_hat
+    without a mat-vec. Both pencils, v2's and the harmonic Ritz one, are
+    products of this pair.
+    """
     rec = _deflate(dec, rec)
-    j, k = dec.j, rec.k
-    Us = rec.U @ rec.D
-    Vhat = np.concatenate([Us, dec.Vj], axis=1)
-    What = np.concatenate([rec.C, dec.Vj], axis=1)
-    G = np.zeros((k + j, k + j), dtype=np.complex128)
-    G[:k, :k] = rec.D
-    G[k:, k:] = dec.H
-    Gbar = np.zeros((k + j + 1, k + j), dtype=np.complex128)
-    Gbar[:k, :k] = rec.D
-    Gbar[k:, k:] = dec.Hbar
-    tail = -dec.h_tail * dec.V[:, j]
-    return AugmentedQuantities(
-        Vhat=Vhat, What=What, G=G, Gbar=Gbar,
-        UmC=Us - rec.C, tail=tail, j=j, k=k,
-    )
+    return (np.concatenate([rec.U, dec.Vj], axis=1),
+            np.concatenate([rec.C, dec.V @ dec.Hbar], axis=1))
 
 
 def _node_factor(fun, rule):
@@ -254,29 +222,23 @@ def _node_weights(fun, rule):
 
 
 def _v2_pencil(dec, rec):
-    """v2's node matrix V_hat^* W_hat (z I - G) + V_hat^* R_z as z E - F.
+    """v2's node matrix V_hat^* (z I - A) V_hat as z E - F, on the pair of
+    `augmented_basis`.
 
-    V_hat^* R_z = z P + N, with P = V_hat^* (U D - C) in the first k
-    columns and N = (U D)^* tail in rows :k of the last column (V_j^* tail
-    vanishes), so E = V_hat^* W_hat + P = V_hat^* V_hat and
-    F = V_hat^* W_hat G - N = V_hat^* A V_hat, on the deflated basis of
-    `aug`. Returns (aug, E, F, V_hat^* b).
+    E = V_hat^* V_hat and F = V_hat^* A V_hat, with the V_j blocks filled
+    analytically: V_j^* V_j = I and V_j^* V_{j+1} Hbar = H. Returns
+    (V_hat, E, F, V_hat^* b), where V_j^* b = beta e_1.
     """
-    aug = augmented_quantities(dec, rec)
-    k, j = aug.k, aug.j
-    Us, C = aug.Vhat[:, :k], aug.What[:, :k]
-    # V_hat^* W_hat, with the orthonormal V_j blocks filled analytically
-    VhWh = np.zeros((k + j, k + j), dtype=np.complex128)
-    VhWh[:k, :k] = Us.conj().T @ C
-    VhWh[:k, k:] = Us.conj().T @ dec.Vj
-    VhWh[k:, :k] = dec.Vj.conj().T @ C
-    VhWh[k:, k:] = np.eye(j)
-    E = VhWh.copy()
-    E[:, :k] = aug.Vhat.conj().T @ Us
-    F = VhWh @ aug.G
-    F[:k, k + j - 1] -= Us.conj().T @ aug.tail
-    Vhb = np.concatenate([Us.conj().T @ dec.b, dec.beta * np.eye(j, 1, dtype=np.complex128)[:, 0]])
-    return aug, E, F, Vhb
+    Vhat, AVhat = augmented_basis(dec, rec)
+    j = dec.j
+    k = Vhat.shape[1] - j
+    U, C = Vhat[:, :k], AVhat[:, :k]
+    Uh, Vjh = U.conj().T, dec.Vj.conj().T
+    UV = Uh @ dec.V
+    E = np.block([[Uh @ U, UV[:, :j]], [Vjh @ U, np.eye(j)]])
+    F = np.block([[Uh @ C, UV @ dec.Hbar], [Vjh @ C, dec.H]])
+    Vhb = np.concatenate([Uh @ dec.b, dec.beta * np.eye(j, 1)[:, 0]])
+    return Vhat, E, F, Vhb
 
 
 def rfom_v2(dec, rec, fun, rule):
@@ -288,23 +250,20 @@ def rfom_v2(dec, rec, fun, rule):
     exact power-of-two diagonal s = 2^-round(log2 sqrt(diag E)); unit
     columns, every V_j column among them, get s = 1.
     """
-    aug, E, F, Vhb = _v2_pencil(dec, rec)
+    Vhat, E, F, Vhb = _v2_pencil(dec, rec)
     s = 2.0 ** -np.round(np.log2(np.sqrt(np.diag(E).real)))
     y = _pencil_node_sum(s[:, None] * E * s, s[:, None] * F * s, s * Vhb,
                          rule.nodes, _node_weights(fun, rule))
-    return aug.Vhat @ (s * y)
+    return Vhat @ (s * y)
 
 
 def rfom_v3(dec, rec, fun, rule):
     """rfom_v2 plus the plain Krylov quadrature error V_j (f(H) - q(H)) beta e_1.
 
-    The paper's v3 evaluates f(G) y0 in closed form, y0 = (V_hat^* W_hat)^{-1}
-    V_hat^* b, and leaves a correction to the quadrature:
-
-        v3 = v2 + V_hat (f(G) y0 - sum_l mu_l (z_l I - G)^{-1} y0).
-
-    Arnoldi starts from b, so V_hat^* W_hat [0; beta e_1] = V_hat^* b and
-    y0 = [0; beta e_1]: its U block vanishes, D drops out, and the
+    The paper's v3 evaluates f in closed form on y0, the coefficients of
+    b in the augmented basis, and leaves only a correction to the
+    quadrature. Arnoldi starts from b, so b = V_j beta e_1 has no U
+    component: y0 = [0; beta e_1], the U block drops out, and the
     correction is V_j (f(H) - q(H)) beta e_1 = arnoldi_direct - arnoldi_quad,
     with q(H) the quadrature of f on H. So v3 gains over v2 only in the
     Krylov part, and it fails only where v2, arnoldi_quad or f(H) fails.

@@ -5,26 +5,24 @@ import scipy.linalg
 
 from .arnoldi import as_operator
 from .core import RankDeficient, qr_orthonormalize, svd_values
-from .engines import RecycleSubspace, augmented_quantities
+from .engines import RecycleSubspace, augmented_basis
 
 
 def harmonic_ritz_pencil(dec, rec):
     """Left and right matrices of the harmonic Ritz eigenproblem.
 
-    With Wbar = [C, V_{j+1}] and Gbar = blockdiag(D, Hbar), the pairs
-    (theta, g) solve Gbar^* Wbar^* Wbar Gbar g = theta Gbar^* Wbar^* Vhat g.
-    The non-orthonormal Wbar columns make this differ from the classical
-    recycled-GMRES procedure by the extra Wbar^* Wbar factor.
+    On the pair (V_hat, A V_hat) of `augmented_basis`, the pairs
+    (theta, g) make A V_hat g - theta V_hat g orthogonal to A V_hat:
+    (A V_hat)^* A V_hat g = theta (A V_hat)^* V_hat g, the condition of
+    recycled GMRES (GCRO-DR) written with the non-orthonormal columns of
+    A V_hat directly.
     """
-    return _pencil(dec, augmented_quantities(dec, rec))
+    return _pencil(*augmented_basis(dec, rec))
 
 
-def _pencil(dec, aug):
-    Wbar = np.concatenate([aug.What[:, : aug.k], dec.V], axis=1)
-    WG = Wbar @ aug.Gbar
-    lhs = WG.conj().T @ WG
-    rhs = WG.conj().T @ aug.Vhat
-    return lhs, rhs
+def _pencil(Vhat, AVhat):
+    AVh = AVhat.conj().T
+    return AVh @ AVhat, AVh @ Vhat
 
 
 def harmonic_ritz_update(dec, rec, op, k):
@@ -39,13 +37,13 @@ def harmonic_ritz_update(dec, rec, op, k):
     op = as_operator(op)
     if k == 0:
         return RecycleSubspace.empty(op.dim)
-    aug = augmented_quantities(dec, rec)
-    lhs, rhs = _pencil(dec, aug)
+    Vhat, AVhat = augmented_basis(dec, rec)
+    lhs, rhs = _pencil(Vhat, AVhat)
     values, vectors = scipy.linalg.eig(lhs, rhs, check_finite=False)
     order = np.argsort(np.abs(values))
     finite = [i for i in order if np.isfinite(values[i])]
     sel = finite[: min(k, len(finite))]
-    U = aug.Vhat @ vectors[:, sel]
+    U = Vhat @ vectors[:, sel]
     norms = np.linalg.norm(U, axis=0)
     if np.max(norms) == 0.0:
         raise RankDeficient("harmonic Ritz vectors are numerically zero")

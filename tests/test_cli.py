@@ -68,7 +68,9 @@ class TestParseConfig:
                           ("contour_center = 1+nanj", "contour_center"),
                           ("contour_center = 5\ncontour_radius = -2",
                            "contour_radius"),
-                          ("contour_radius = wide", "contour_radius")):
+                          ("contour_radius = wide", "contour_radius"),
+                          ("contour_center = 5", "contour_center"),
+                          ("contour_radius = 2", "contour_radius")):
             path = write_config(tmp_path, f"m = 8\n{line}\n")
             with pytest.raises(ParseError, match=repr(key)):
                 parse_config(path)
@@ -206,6 +208,39 @@ class TestRunExperiment:
         assert [r["k"] for r in v2] == [0, 0, 4, 4]
         assert all(r["status"] == "ok" for r in v2)
         assert [r["subspace_angle"] == "" for r in v2] == [True, True, False, False]
+
+    def test_engines_get_c_of_the_current_matrix(self, tmp_path, monkeypatch):
+        # on a changing matrix the update's C = A^(i) U is recomputed as
+        # A^(i+1) U before the engines of problem i+1 see the subspace
+        sequence = rfom2.cli.gen_perturbation_sequence
+        current, gaps = {}, []
+
+        def recording_sequence(seq):
+            for A, b in sequence(seq):
+                current["A"] = A
+                yield A, b
+
+        def checking(engine):
+            def call(dec, rec, fun, rule):
+                if rec.k:
+                    gaps.append(np.linalg.norm(current["A"] @ rec.U - rec.C)
+                                / np.linalg.norm(rec.C))
+                return engine(dec, rec, fun, rule)
+            return call
+
+        monkeypatch.setattr(rfom2.cli, "gen_perturbation_sequence", recording_sequence)
+        for name, engine in list(rfom2.cli.ENGINES.items()):
+            monkeypatch.setitem(rfom2.cli.ENGINES, name, checking(engine))
+        cfg = ExperimentConfig(problem="graded_hermitian", n=150, small_count=8,
+                               small_min=1.0, small_max=1.2, bulk_min=15.0,
+                               bulk_max=60.0, function="invsqrt",
+                               quad_kind="stieltjes", j=20, k=8, n_quad=40,
+                               n_problems=4, eps=1e-3, engines="v1,v2,v3", seed=3,
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        assert not report.has_failures
+        assert len(gaps) == 3 * 3
+        assert max(gaps) <= 1e-12
 
     def test_sign_via_invsqrt(self, tmp_path):
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",

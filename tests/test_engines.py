@@ -13,7 +13,7 @@ from rfom2 import (
     arnoldi,
     arnoldi_direct,
     arnoldi_quad,
-    augmented_quantities,
+    augmented_basis,
     guarded_contour,
     rfom_v1,
     rfom_v2,
@@ -42,24 +42,46 @@ def spd_problem(n=50, seed=0, lam_min=1.0, lam_max=9.0):
 
 def smw_v3(dec, rec, fun, rule):
     """Reference v3: closed-form f(G) term minus a per-node
-    Sherman-Morrison-Woodbury correction through an explicit inverse."""
-    aug, _, _, Vhb = _v2_pencil(dec, rec)
-    VhWh = aug.Vhat.conj().T @ aug.What
-    k, kj = aug.k, aug.k + aug.j
+    Sherman-Morrison-Woodbury correction through an explicit inverse.
+
+    It runs on the paper's shifted form of the augmented relation,
+    (z I - A) V_hat = W_hat (z I - G) + R(z), with V_hat = [U, V_j] from
+    `augmented_basis`, W_hat = [C, V_j], G = blockdiag(I_k, H) and
+    R(z) = [z (U - C), -h v_{j+1} e_j^T], h = Hbar[j, j-1].
+    """
+    Vhat, AVhat = augmented_basis(dec, rec)
+    j = dec.j
+    kj = Vhat.shape[1]
+    k = kj - j
+    U, C = Vhat[:, :k], AVhat[:, :k]
+    What = np.concatenate([C, dec.Vj], axis=1)
+    G = np.zeros((kj, kj), dtype=np.complex128)
+    G[:k, :k] = np.eye(k)
+    G[k:, k:] = dec.H
+    tail = -dec.Hbar[j, j - 1] * dec.V[:, j]
+
+    def R(z):
+        out = np.zeros(Vhat.shape, dtype=np.complex128)
+        out[:, :k] = z * (U - C)
+        out[:, kj - 1] = tail
+        return out
+
+    Vhb = Vhat.conj().T @ dec.b
+    VhWh = Vhat.conj().T @ What
     I = np.eye(kj, dtype=np.complex128)
     fG = np.zeros((kj, kj), dtype=np.complex128)
     if k:
-        fG[:k, :k] = fun.dense_f(aug.G[:k, :k])
+        fG[:k, :k] = fun.dense_f(G[:k, :k])
     fG[k:, k:] = fun.dense_f(dec.H)
-    closed = aug.Vhat @ (fG @ lu_solve(VhWh, Vhb))
+    closed = Vhat @ (fG @ lu_solve(VhWh, Vhb))
     t = np.zeros(kj, dtype=np.complex128)
     factor = _node_factor(fun, rule)
     for z, w in zip(rule.nodes, rule.weights):
-        B = aug.Vhat.conj().T @ aug.R(z)
-        Gzinv = lu_solve(VhWh @ (z * I - aug.G), I)
+        B = Vhat.conj().T @ R(z)
+        Gzinv = lu_solve(VhWh @ (z * I - G), I)
         s = lu_solve(I + B @ Gzinv, B @ (Gzinv @ Vhb))
         t += w * factor(z) * (Gzinv @ s)
-    return closed - aug.Vhat @ t
+    return closed - Vhat @ t
 
 
 def loop_arnoldi_quad(dec, fun, rule):
@@ -96,7 +118,7 @@ def loop_node_terms(E, F, rhs, nodes, mu):
 
 def eigvec_subspace(A, Q, k):
     U = Q[:, :k].astype(np.complex128)
-    return RecycleSubspace(U=U, C=np.asarray(A @ U), D=np.eye(k, dtype=np.complex128))
+    return RecycleSubspace(U=U, C=np.asarray(A @ U))
 
 
 class TestArnoldiDirect:
@@ -208,7 +230,7 @@ class TestRecycledEngines:
         self.lam, self.Q = np.linalg.eigh(self.A)
         self.dec = arnoldi(self.A, self.b, 14)
         U = rng.standard_normal((80, 8)) + 1j * rng.standard_normal((80, 8))
-        self.rec = RecycleSubspace(U=U, C=self.A @ U, D=np.eye(8, dtype=complex))
+        self.rec = RecycleSubspace(U=U, C=self.A @ U)
         self.fun = function_catalog("inverse")
         contour = guarded_contour(self.lam.astype(complex), 0.1, singularity=0.0)
         self.rule = trapezoid_contour(contour, 3000)
@@ -275,24 +297,26 @@ class TestRecycledEngines:
             assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), xq) <= tol
 
     def test_v2_balances_badly_scaled_basis(self):
-        # columns of U D up to ~800 long against unit V_j columns: QZ on the
-        # unbalanced pencil lost up to 8e-11 against the per-node LU loop
+        # columns of U scaled up to ~800 long against unit V_j columns: QZ
+        # on the unbalanced pencil lost up to 8e-11 against the per-node LU loop
         rng = np.random.default_rng(19)
         for _ in range(3):
             U = rng.standard_normal((80, 8)) + 1j * rng.standard_normal((80, 8))
-            d = rng.uniform(1.0, 60.0, 8) * np.exp(2j * np.pi * rng.uniform(size=8))
-            rec = RecycleSubspace(U=U, C=self.A @ U, D=np.diag(d))
-            aug, E, F, Vhb = _v2_pencil(self.dec, rec)
+            U = U * (rng.uniform(1.0, 60.0, 8) * np.exp(2j * np.pi * rng.uniform(size=8)))
+            rec = RecycleSubspace(U=U, C=self.A @ U)
+            Vhat, E, F, Vhb = _v2_pencil(self.dec, rec)
             terms = loop_node_terms(E, F, Vhb, self.rule.nodes, _node_weights(self.fun, self.rule))
-            ref = aug.Vhat @ terms.sum(axis=0)
+            ref = Vhat @ terms.sum(axis=0)
             assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), ref) <= 1e-13
 
     def test_d_scaling_invariance(self):
+        # the engines depend on U only through span(U): scaling its columns
+        # by a diagonal d, U d with C d, leaves v2 and v3 unchanged
         base2 = rfom_v2(self.dec, self.rec, self.fun, self.rule)
         base3 = rfom_v3(self.dec, self.rec, self.fun, self.rule)
         rng = np.random.default_rng(9)
-        for D in (2.0 * np.eye(8), np.diag(rng.uniform(0.5, 3.0, 8))):
-            rec = RecycleSubspace(U=self.rec.U, C=self.rec.C, D=D.astype(complex))
+        for d in (2.0 * np.ones(8), rng.uniform(0.5, 3.0, 8)):
+            rec = RecycleSubspace(U=self.rec.U * d, C=self.rec.C * d)
             assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), base2) <= 1e-10
             assert relerr(rfom_v3(self.dec, rec, self.fun, self.rule), base3) <= 1e-10
 
@@ -335,14 +359,11 @@ class TestRecycledEngines:
         assert smin > 0
 
     def test_augmented_arnoldi_relation(self):
-        aug = augmented_quantities(self.dec, self.rec)
-        rng = np.random.default_rng(11)
-        nA = np.linalg.norm(self.A)
-        for sigma in rng.standard_normal(5) * 30 + 1j * rng.standard_normal(5):
-            lhs = (sigma * np.eye(80) - self.A) @ aug.Vhat
-            rhs = aug.What @ (sigma * np.eye(aug.k + aug.j) - aug.G) + aug.R(sigma)
-            res = np.linalg.norm(lhs - rhs, "fro")
-            assert res <= 1e-10 * (abs(sigma) + nA) * np.linalg.norm(aug.Vhat)
+        # A [U, V_j] = [C, V_{j+1} Hbar], with no mat-vec behind the right side
+        Vhat, AVhat = augmented_basis(self.dec, self.rec)
+        assert Vhat.shape == AVhat.shape == (80, 8 + 14)
+        res = np.linalg.norm(self.A @ Vhat - AVhat, "fro")
+        assert res <= 1e-10 * np.linalg.norm(self.A) * np.linalg.norm(Vhat)
 
     def test_subspace_invariants(self):
         assert np.linalg.norm(self.A @ self.rec.U - self.rec.C, "fro") \
@@ -353,7 +374,7 @@ class TestRecycledEngines:
 
 
 class TestDeflation:
-    """The one rank decision of [U D, V_j]: U deflated against K_j."""
+    """The one rank decision of [U, V_j]: U deflated against K_j."""
 
     def setup_method(self):
         self.A, b, lam, _ = spd_problem(seed=16)
@@ -366,7 +387,7 @@ class TestDeflation:
     @given(n_in=st.integers(1, 4), n_rand=st.integers(0, 4),
            seed=st.integers(0, 2**32 - 1))
     def test_drops_exactly_the_krylov_columns(self, n_in, n_rand, seed):
-        # U = [columns on K_j, random columns] with a random diagonal D:
+        # U = [columns on K_j, random columns], its columns scaled at random:
         # the deflated subspace keeps one column per random column, stays
         # consistent (A U' = C') and gives v2 the Galerkin result on
         # span[U, V_j], which v1 computes from the random columns alone
@@ -374,9 +395,9 @@ class TestDeflation:
         rng = np.random.default_rng(seed)
         cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         R = cplx(50, n_rand)
-        U = np.concatenate([self.dec.Vj @ cplx(12, n_in), R], axis=1)
-        D = np.diag(rng.uniform(0.5, 3.0, n_in + n_rand)).astype(np.complex128)
-        rec = RecycleSubspace(U=U, C=self.A @ U, D=D)
+        U = np.concatenate([self.dec.Vj @ cplx(12, n_in), R], axis=1) \
+            * rng.uniform(0.5, 3.0, n_in + n_rand)
+        rec = RecycleSubspace(U=U, C=self.A @ U)
         out = _deflate(self.dec, rec)
         assert out.k == n_rand
         assert np.linalg.norm(self.A @ out.U - out.C) <= 1e-12 * np.linalg.norm(out.C)
@@ -400,16 +421,15 @@ class TestV3Identity:
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 6), circle=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_matches_smw(self, k, circle, seed):
-        # U with unit columns, as the harmonic Ritz update makes it, and a
-        # complex diagonal D within half the radius of the contour's centre,
-        # so the SMW reference's z I - G stays regular at every node
+        # unit columns, as the harmonic Ritz update makes them, scaled by
+        # complex factors drawn around the contour's centre
         rng = np.random.default_rng(seed)
         U = rng.standard_normal((50, k)) + 1j * rng.standard_normal((50, k))
         U /= np.linalg.norm(U, axis=0)
         c = self.contour
-        d = c.center + 0.5 * c.radius * rng.uniform(0.0, 1.0, k) \
-            * np.exp(2j * np.pi * rng.uniform(size=k))
-        rec = RecycleSubspace(U=U, C=self.A @ U, D=np.diag(d))
+        U = U * (c.center + 0.5 * c.radius * rng.uniform(0.0, 1.0, k)
+                 * np.exp(2j * np.pi * rng.uniform(size=k)))
+        rec = RecycleSubspace(U=U, C=self.A @ U)
         if circle:
             fun = function_catalog(("inverse", "exp", "log", "sqrt")[rng.integers(4)])
             rule = trapezoid_contour(c, int(rng.integers(16, 129)))
@@ -479,19 +499,3 @@ class TestPencilKernel:
         rec = RecycleSubspace.from_basis(A, U)
         with pytest.raises(SingularSystem):
             rfom_v2(dec, rec, function_catalog("inverse"), self.node_on_ritz_value)
-
-    def test_v3_node_on_eigenvalue_of_d(self):
-        # G = blockdiag(D, H): a node on an entry of D leaves v2's pencil
-        # regular, and v3 never solves with z I - G, since D drops out
-        A, b, _, _ = spd_problem(seed=15)
-        rng = np.random.default_rng(15)
-        U = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
-        D = np.diag([0.5, 2.0, 3.0]).astype(np.complex128)
-        rec = RecycleSubspace(U=U, C=A @ U, D=D)
-        dec = arnoldi(A, b, 10)
-        rule = QuadratureRule(nodes=[2.0 + 1.0j, 2.0], weights=[1.0, 1.0])
-        fun = function_catalog("exp")
-        assert np.all(np.isfinite(rfom_v2(dec, rec, fun, rule)))
-        x3 = rfom_v3(dec, rec, fun, rule)
-        assert np.all(np.isfinite(x3))
-        assert relerr(x3, v2_plus_krylov_error(dec, rec, fun, rule)) <= 1e-12
