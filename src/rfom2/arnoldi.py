@@ -15,7 +15,9 @@ class LinearOperator:
 
     `apply` takes a vector of length dim or an n x k block of vectors, and
     returns A v with the input's shape, so the callback must accept both.
-    The wrappers of `as_operator` compute A @ v, which does.
+    The wrappers of `as_operator` compute A @ v, which does. The result
+    keeps the callback's dtype; for those wrappers that is numpy's
+    promotion of A's and v's dtypes, so a real A on a real v stays real.
     """
 
     def __init__(self, dim, apply):
@@ -24,7 +26,7 @@ class LinearOperator:
 
     def apply(self, v):
         out = self._apply(v)
-        return np.asarray(out, dtype=np.complex128).reshape(np.shape(v))
+        return np.asarray(out).reshape(np.shape(v))
 
 
 def as_operator(A):
@@ -72,10 +74,12 @@ def arnoldi(op, b, j, reorth=True):
     """Build an orthonormal basis of K_j(A, b) by classical Gram-Schmidt.
 
     With reorth on, the classical pass is applied twice per new vector
-    (CGS2, "twice is enough"). Breakdown truncates the decomposition.
+    (CGS2, "twice is enough"). Breakdown truncates the decomposition. V
+    and Hbar take the dtype of b and of the first product A v_1, so a
+    real operator and a real b give a real decomposition.
     """
     op = as_operator(op)
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
+    b = np.asarray(b).reshape(-1)
     if b.shape[0] != op.dim:
         raise ValueError("rhs length does not match operator dimension")
     if not (1 <= j < op.dim):
@@ -84,13 +88,15 @@ def arnoldi(op, b, j, reorth=True):
     if beta == 0.0:
         raise ZeroRhs("right-hand side is the zero vector")
 
-    n = op.dim
-    V = np.zeros((n, j + 1), dtype=np.complex128)
-    Hbar = np.zeros((j + 1, j), dtype=np.complex128)
-    V[:, 0] = b / beta
+    v = b / beta
+    w = op.apply(v)
+    V = np.zeros((op.dim, j + 1), dtype=np.result_type(v, w))
+    Hbar = np.zeros((j + 1, j), dtype=V.dtype)
+    V[:, 0] = v
 
     for ell in range(j):
-        w = op.apply(V[:, ell])
+        if ell:
+            w = op.apply(V[:, ell])
         h = V[:, : ell + 1].conj().T @ w
         w = w - V[:, : ell + 1] @ h
         if reorth:
@@ -122,11 +128,9 @@ def shifted_fom_solve(dec, sigma):
     Krylov subspaces.
     """
     j = dec.j
-    e1 = np.zeros(j, dtype=np.complex128)
-    e1[0] = 1.0
-    M = sigma * np.eye(j, dtype=np.complex128) - dec.H
+    M = sigma * np.eye(j) - dec.H
     try:
-        y = lu_solve(M, e1)
+        y = lu_solve(M, np.eye(j, 1)[:, 0])
     except SingularMatrix as exc:
         raise SingularShift(f"shift {sigma} is an eigenvalue of H_j") from exc
     return dec.beta * (dec.Vj @ y)

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .arnoldi import arnoldi, as_operator
 from .core import NoSeparatingContour, ParseError, RFOMError, UnknownFunction
@@ -156,9 +157,15 @@ def _check_values(cfg):
                          "function = invsqrt")
     cfg.engine_list()
     _check_n_quad(cfg.quad_kind, cfg.n_quad, "config key 'n_quad'")
-    for key, least in (("k", 0), ("n_problems", 1)):
+    for f in fields(cfg):
+        if f.type is float and not np.isfinite(getattr(cfg, f.name)):
+            raise ParseError(f"config key {f.name!r}: {getattr(cfg, f.name)} is not finite")
+    for key, least in (("m", 1), ("n", 1), ("k", 0), ("n_problems", 1)):
         if getattr(cfg, key) < least:
             raise ParseError(f"config key {key!r}: {getattr(cfg, key)} is below {least}")
+    if cfg.problem == "graded_hermitian" and not 0 <= cfg.small_count <= cfg.n:
+        raise ParseError(f"config key 'small_count': {cfg.small_count} is not "
+                         f"between 0 and n = {cfg.n}")
     if not 0.0 < cfg.contour_margin < np.inf:
         raise ParseError(f"config key 'contour_margin': {cfg.contour_margin} "
                          "is not a positive number")
@@ -288,13 +295,20 @@ def _setup(cfg, length, eps):
     """Engine names, function, problem sequence and oracle cache of a config.
 
     The cache is None when the oracle is off or the matrix is too large.
-    Raises ParseError for the values `parse_config` rejects and for a j
-    that is not below the matrix dimension.
+    Raises ParseError for the values `parse_config` rejects, for a j
+    that is not below the matrix dimension and for hermitian = true on a
+    matrix that is not Hermitian.
     """
     _check_values(cfg)
     engine_names = cfg.engine_list()
     fun = function_catalog(cfg.function)
     base, base_hermitian = _base_matrix(cfg)
+    norm = scipy.sparse.linalg.norm
+    # the tolerance of eig_dense's Hermitian check
+    if cfg.hermitian and not base_hermitian \
+            and norm(base - base.conj().T) > 1e-10 * norm(base):
+        raise ParseError("config key 'hermitian': true, but the matrix is not "
+                         "Hermitian to 1e-10 relative in the Frobenius norm")
     hermitian = cfg.hermitian or base_hermitian
     n = base.shape[0]
     if not 1 <= cfg.j < n:

@@ -1,7 +1,8 @@
-"""Dense complex linear algebra kernels shared by all modules.
+"""Dense linear algebra kernels shared by all modules.
 
-Everything operates on plain numpy arrays in complex double precision.
-These are thin contracts over LAPACK (via numpy/scipy) with explicit
+Everything operates on plain numpy arrays and keeps their dtype, so real
+inputs give real results wherever the mathematics allows. These are thin
+contracts over LAPACK (via numpy/scipy) with explicit finiteness /
 singularity / rank / convergence checks so that callers get meaningful
 exceptions instead of silent garbage.
 """
@@ -70,20 +71,13 @@ class NoSeparatingContour(RFOMError, ValueError):
     """No circle encloses the spectrum estimates and excludes the singularity."""
 
 
-def _as_complex(a):
-    a = np.asarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("non-finite entries in input")
-    return a
-
-
 def lu_solve(M, B):
     """Solve M X = B for square M via LU with partial pivoting.
 
     Raises SingularMatrix when a pivot falls below 1e-14 * max|M|.
     """
-    M = _as_complex(M)
-    B = _as_complex(B)
+    M = np.asarray_chkfinite(M)
+    B = np.asarray_chkfinite(B)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
     if B.shape[0] != M.shape[0]:
@@ -102,7 +96,7 @@ def qr_orthonormalize(M):
 
     Raises RankDeficient when a diagonal entry of R is below 1e-12 * ||M||.
     """
-    M = _as_complex(M)
+    M = np.asarray_chkfinite(M)
     if M.ndim != 2 or M.shape[1] > M.shape[0]:
         raise ValueError("M must be tall (cols <= rows)")
     Q, R = np.linalg.qr(M)
@@ -119,7 +113,7 @@ def eig_dense(M, hermitian=False):
     eigenvectors. The general path uses the QR algorithm on the
     Hessenberg form (LAPACK geev).
     """
-    M = _as_complex(M)
+    M = np.asarray_chkfinite(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
     try:
@@ -141,8 +135,8 @@ def generalized_eig(Amat, Bmat):
     Raises SingularPencil when B is numerically singular (smallest
     singular value below 1e-12 * ||B||).
     """
-    Amat = _as_complex(Amat)
-    Bmat = _as_complex(Bmat)
+    Amat = np.asarray_chkfinite(Amat)
+    Bmat = np.asarray_chkfinite(Bmat)
     if Amat.shape != Bmat.shape or Amat.ndim != 2 or Amat.shape[0] != Amat.shape[1]:
         raise ValueError("A and B must be square of the same size")
     if Amat.shape[0] == 0:
@@ -159,7 +153,7 @@ def generalized_eig(Amat, Bmat):
 
 def svd_values(M):
     """Singular values of M, nonnegative and descending."""
-    M = _as_complex(M)
+    M = np.asarray_chkfinite(M)
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -56,13 +56,13 @@ class RecycleSubspace:
 
     @classmethod
     def empty(cls, n):
-        z = np.zeros((n, 0), dtype=np.complex128)
+        z = np.zeros((n, 0))
         return cls(U=z, C=z.copy())
 
     @classmethod
     def from_basis(cls, op, U):
         """Build a subspace from basis columns; C = A U is one block apply."""
-        U = np.asarray(U, dtype=np.complex128)
+        U = np.asarray(U)
         return cls(U=U, C=as_operator(op).apply(U))
 
 
@@ -123,8 +123,8 @@ def arnoldi_direct(dec, fun):
 def arnoldi_quad(dec, fun, rule):
     """Quadrature form of the Arnoldi approximation (the "Arnoldi (q)" baseline),
     V_j q(H_j) beta e_1, with the node sum over the pencil (I_j, H_j)."""
-    beta_e1 = dec.beta * np.eye(dec.j, 1, dtype=np.complex128)[:, 0]  # V_j^* b
-    return dec.Vj @ _pencil_node_sum(np.eye(dec.j, dtype=np.complex128), dec.H, beta_e1,
+    beta_e1 = dec.beta * np.eye(dec.j, 1)[:, 0]  # V_j^* b
+    return dec.Vj @ _pencil_node_sum(np.eye(dec.j), dec.H, beta_e1,
                                      rule.nodes, _node_weights(fun, rule))
 
 

@@ -71,7 +71,7 @@ def load_matrix_market(path):
             i = int(parts[0])
             j = int(parts[1])
             if field == "real":
-                v = complex(float(parts[2]))
+                v = float(parts[2])
             else:
                 v = complex(float(parts[2]), float(parts[3]))
         except ValueError as exc:
@@ -88,7 +88,7 @@ def load_matrix_market(path):
 
     i_idx = np.asarray(i_idx, dtype=np.int64)
     j_idx = np.asarray(j_idx, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.complex128)
+    vals = np.asarray(vals, dtype=np.float64 if field == "real" else np.complex128)
     if symmetry in ("symmetric", "hermitian"):
         off = i_idx != j_idx
         mirror = vals[off].conj() if symmetry == "hermitian" else vals[off]
@@ -100,13 +100,16 @@ def load_matrix_market(path):
 
 
 def save_matrix_market(path, A):
-    """Write a sparse matrix as complex coordinate general, full precision."""
-    A = scipy.sparse.coo_matrix(A, dtype=np.complex128)
+    """Write a sparse matrix as coordinate general, full precision: a real
+    matrix in the real field, a complex one in the complex field."""
+    A = scipy.sparse.coo_matrix(A)
+    field = "complex" if np.iscomplexobj(A.data) else "real"
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate complex general\n")
+        fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
         fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
         for i, j, v in zip(A.row, A.col, A.data):
-            fh.write(f"{i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}\n")
+            value = f"{v.real:.17g} {v.imag:.17g}" if field == "complex" else f"{v:.17g}"
+            fh.write(f"{i + 1} {j + 1} {value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +172,13 @@ def gen_perturbation_sequence(seq):
     base matrix and is Frobenius-normalized to ||A^(1)||_F; with the
     hermitian flag E is symmetrized first. All randomness comes from one
     seeded generator so identical parameters reproduce the sequence.
+    The matrices keep the base matrix's dtype, and a real-valued base
+    gets real right-hand sides and perturbations.
     """
     if seq.rhs_policy not in ("random_each", "fixed"):
         raise ValueError(f"unknown rhs policy {seq.rhs_policy!r}")
     rng = np.random.default_rng(seq.seed)
-    A = scipy.sparse.csr_matrix(seq.base, dtype=np.complex128)
+    A = scipy.sparse.csr_matrix(seq.base)
     n = A.shape[0]
     base_fro = scipy.sparse.linalg.norm(A, "fro")
     pattern = A.copy()
@@ -182,7 +187,7 @@ def gen_perturbation_sequence(seq):
 
     def random_rhs():
         if is_real:
-            return rng.standard_normal(n).astype(np.complex128)
+            return rng.standard_normal(n)
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
 
     fixed_b = random_rhs()
@@ -215,7 +220,7 @@ def oracle_eig(A, hermitian=False):
     The Hermitian path diagonalizes unitarily; the general path guards
     against a size cap and an ill-conditioned eigenbasis.
     """
-    A = np.asarray(A.toarray() if scipy.sparse.issparse(A) else A, dtype=np.complex128)
+    A = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
     if not hermitian and A.shape[0] > ORACLE_GENERAL_MAX_N:
         raise ValueError(f"general oracle capped at n = {ORACLE_GENERAL_MAX_N}")
     w, V = eig_dense(A, hermitian=hermitian)
@@ -232,7 +237,7 @@ def oracle_apply(fun, eig, b, hermitian=False):
     Eigenvalues at a singularity of f raise FunctionUndefined.
     """
     w, V = eig
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
+    b = np.asarray(b).reshape(-1)
     fw = np.array([fun.scalar_f(lam) for lam in w], dtype=np.complex128)
     if hermitian:
         return V @ (fw * (V.conj().T @ b))
@@ -254,7 +259,7 @@ def _on_branch_cut(z, include_origin=True):
 
 def _dense_via_eig(scalar_f, M):
     """f(M) for a small dense M via (symmetry-aware) eigendecomposition."""
-    M = np.asarray(M, dtype=np.complex128)
+    M = np.asarray(M)
     scale = np.linalg.norm(M) if M.size else 0.0
     if M.shape[0] == 0:
         return M.copy()
@@ -309,7 +314,7 @@ def function_catalog(name):
             return complex(z) * invsqrt(complex(z) ** 2)
 
         def dense_sign(M):
-            M = np.asarray(M, dtype=np.complex128)
+            M = np.asarray(M)
             return M @ _dense_via_eig(invsqrt, M @ M)
 
         return FunctionSpec(name=name, scalar_f=scalar_sign, dense_f=dense_sign,
@@ -319,9 +324,9 @@ def function_catalog(name):
     scalar = _make_scalar(name)
     if name == "inverse":
         def dense(M):
-            M = np.asarray(M, dtype=np.complex128)
+            M = np.asarray(M)
             try:
-                return lu_solve(M, np.eye(M.shape[0], dtype=np.complex128))
+                return lu_solve(M, np.eye(M.shape[0]))
             except SingularMatrix as exc:
                 raise FunctionUndefined("matrix has an eigenvalue at 0") from exc
     else:

@@ -62,8 +62,8 @@ def harmonic_ritz_update(dec, rec, op, k):
 
 def subspace_angle(U, Z):
     """Largest principal angle (radians) between the column spans of U and Z."""
-    U = np.asarray(U, dtype=np.complex128)
-    Z = np.asarray(Z, dtype=np.complex128)
+    U = np.asarray(U)
+    Z = np.asarray(Z)
     if U.shape[1] == 0 or Z.shape[1] == 0:
         raise ValueError("subspace_angle needs nonempty subspaces")
     Qu, _ = qr_orthonormalize(U)

@@ -70,22 +70,35 @@ class TestParseConfig:
                            "contour_radius"),
                           ("contour_radius = wide", "contour_radius"),
                           ("contour_center = 5", "contour_center"),
-                          ("contour_radius = 2", "contour_radius")):
+                          ("contour_radius = 2", "contour_radius"),
+                          ("eps = nan", "eps"), ("convection = nan", "convection"),
+                          ("small_min = nan", "small_min"), ("m = 0", "m"),
+                          ("problem = graded_hermitian\nn = 30\nsmall_count = 40",
+                           "small_count")):
             path = write_config(tmp_path, f"m = 8\n{line}\n")
             with pytest.raises(ParseError, match=repr(key)):
                 parse_config(path)
+        # hermitian = true is checked against the matrix when the run is set up
+        path = write_config(tmp_path, "problem = convdiff2d\nm = 8\nconvection = 5\n"
+                                      "hermitian = true\n")
+        with pytest.raises(ParseError, match="'hermitian'"):
+            run_experiment(parse_config(path))
         # j is checked against the matrix dimension (36 here) when the run
         # is set up; main shows a ParseError as one line and exits 2
         path = write_config(tmp_path, f"m = 6\nj = 40\noutput = {tmp_path / 'j.csv'}\n")
         with pytest.raises(ParseError, match="'j'"):
             run_experiment(parse_config(path))
         capsys.readouterr()
-        for argv in (["run", path], ["sweep", path, "--nquad", "8"],
-                     ["run", path, "--set", "problem=torus"]):
+        for argv, key in ((["run", path], "j"), (["sweep", path, "--nquad", "8"], "j"),
+                          (["run", path, "--set", "problem=torus"], "problem"),
+                          (["run", path, "--set", "eps=nan", "--set", "j=10"], "eps"),
+                          (["run", path, "--set", "problem=convdiff2d", "--set", "j=10",
+                            "--set", "convection=5", "--set", "hermitian=true"],
+                           "hermitian")):
             assert main(argv) == 2
             out = capsys.readouterr()
             assert out.out == "" and len(out.err.strip().splitlines()) == 1
-            assert "'j'" in out.err or "'problem'" in out.err
+            assert f"'{key}'" in out.err
         # sweep's node counts get the n_quad check
         path = write_config(tmp_path, f"m = 6\nj = 10\noutput = {tmp_path / 's.csv'}\n")
         for nquad in ("8,1", "8,x", ","):

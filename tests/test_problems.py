@@ -48,11 +48,14 @@ class TestMatrixMarket:
         rng = np.random.default_rng(0)
         A = scipy.sparse.random(15, 15, density=0.2, random_state=rng,
                                 dtype=np.float64)
-        A = A + 1j * scipy.sparse.random(15, 15, density=0.2, random_state=rng)
+        Z = A + 1j * scipy.sparse.random(15, 15, density=0.2, random_state=rng)
         p = tmp_path / "r.mtx"
-        save_matrix_market(p, A)
-        B = load_matrix_market(p)
-        assert (abs(A.tocsr() - B) > 0).nnz == 0
+        for M, field in ((A, "real"), (Z, "complex")):
+            save_matrix_market(p, M)
+            assert p.read_text().split()[3] == field
+            B = load_matrix_market(p)
+            assert B.dtype == M.dtype
+            assert (abs(M.tocsr() - B) > 0).nnz == 0
 
     def test_parse_error_line_number(self, tmp_path):
         p = tmp_path / "bad.mtx"
