@@ -166,6 +166,12 @@ def _check_values(cfg):
     if cfg.problem == "graded_hermitian" and not 0 <= cfg.small_count <= cfg.n:
         raise ParseError(f"config key 'small_count': {cfg.small_count} is not "
                          f"between 0 and n = {cfg.n}")
+    if cfg.problem == "graded_hermitian" and not cfg.small_min * cfg.small_max > 0:
+        # the small cluster is geometrically spaced from small_min to small_max
+        key = "small_min" if cfg.small_min == 0 else "small_max"
+        raise ParseError(f"config key {key!r}: small_min = {cfg.small_min} and "
+                         f"small_max = {cfg.small_max} are not nonzero and of "
+                         "one sign")
     if not 0.0 < cfg.contour_margin < np.inf:
         raise ParseError(f"config key 'contour_margin': {cfg.contour_margin} "
                          "is not a positive number")

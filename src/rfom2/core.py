@@ -106,6 +106,12 @@ def qr_orthonormalize(M):
     return Q, R
 
 
+def is_hermitian(M, rtol=1e-12):
+    """True when ||M - M^*||_F <= rtol ||M||_F; a zero matrix is Hermitian."""
+    M = np.asarray(M)
+    return bool(np.linalg.norm(M - M.conj().T) <= rtol * np.linalg.norm(M))
+
+
 def eig_dense(M, hermitian=False):
     """Eigendecomposition of a square dense matrix.
 
@@ -118,8 +124,7 @@ def eig_dense(M, hermitian=False):
         raise ValueError("M must be square")
     try:
         if hermitian:
-            scale = np.linalg.norm(M)
-            if scale > 0 and np.linalg.norm(M - M.conj().T) > 1e-10 * scale:
+            if not is_hermitian(M, 1e-10):
                 raise ValueError("matrix is not Hermitian to tolerance")
             values, vectors = np.linalg.eigh(M)
             return values, vectors

@@ -5,10 +5,11 @@ three recycled engines consume an additional augmentation subspace U
 with C = A U carried across problems. All engines are pure functions of
 (decomposition, subspace, function, rule). Only `rfom_v1`, the
 independent reference, accumulates its quadrature sum node by node, in
-ascending node order. `arnoldi_quad` and `rfom_v2` reduce their node
-systems to triangular form with one QZ decomposition and sum over all
-nodes at once. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature
-error `arnoldi_direct - arnoldi_quad`.
+ascending node order. `arnoldi_quad` and `rfom_v2` sum over all nodes at
+once from one decomposition of their pencil z E - F: one `eigh` when the
+pencil is Hermitian-definite, as it is for Hermitian A, and one complex QZ
+otherwise. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature error
+`arnoldi_direct - arnoldi_quad`.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .core import (
     SingularProjector,
     SingularShift,
     SingularSystem,
+    is_hermitian,
     lu_solve,
     svd_values,
 )
@@ -185,28 +187,63 @@ def rfom_v1(dec, rec, fun, rule):
 
 
 def _pencil_node_sum(E, F, rhs, nodes, mu):
-    """sum_l mu_l (z_l E - F)^{-1} rhs from one complex QZ of the pencil.
+    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once.
+
+    A Hermitian-definite pencil, E and F Hermitian to `is_hermitian`'s
+    1e-12 and E positive definite, goes through one `eigh`; any other
+    pencil, and any on which `eigh` fails, through one complex QZ.
+    """
+    if E.shape[0] == 0:
+        return np.zeros(0, dtype=np.complex128)
+    if is_hermitian(E) and is_hermitian(F):
+        try:
+            return _eigh_node_sum(E, F, rhs, nodes, mu)
+        except scipy.linalg.LinAlgError:
+            pass  # E is not positive definite
+    return _qz_node_sum(E, F, rhs, nodes, mu)
+
+
+def _check_nodes(diag, nodes, scale):
+    """Raise SingularSystem at the first node l with some
+    |diag_il| <= 1e-14 scale_l, scale_l being the size of z_l E - F."""
+    singular = ~(np.abs(diag) > 1e-14 * scale).all(axis=0)
+    if singular.any():
+        z = nodes[np.argmax(singular)]
+        raise SingularSystem(f"pencil z E - F singular at node {z}")
+
+
+def _eigh_node_sum(E, F, rhs, nodes, mu):
+    """The node sum of a Hermitian-definite pencil from one `eigh`.
+
+    F X = E X Lambda with X^* E X = I gives
+    (z E - F)^{-1} = X (z - Lambda)^{-1} X^*, so the sum is
+    X (c * (R mu)) with c = X^* rhs and R_il = 1/(z_l - lambda_i): O(m)
+    per node. A node is singular when some |z_l - lambda_i| is not above
+    1e-14 (|z_l| + max|lambda|). Raises LinAlgError when E is not positive
+    definite.
+    """
+    lam, X = scipy.linalg.eigh(F, E, check_finite=False)
+    gap = nodes - lam[:, None]
+    _check_nodes(gap, nodes, np.abs(nodes) + np.max(np.abs(lam)))
+    return X @ ((X.conj().T @ rhs) * ((1.0 / gap) @ mu))
+
+
+def _qz_node_sum(E, F, rhs, nodes, mu):
+    """The node sum of any pencil from one complex QZ.
 
     With F = Q T Z^* and E = Q S Z^* (T, S upper triangular), every node
     system becomes the triangular (z_l S - T) y_l = Q^* rhs. Back
     substitution runs over the m rows for all nodes at once, and the sum
     is Z sum_l mu_l y_l. A node is singular when a diagonal entry
-    |z_l S_ii - T_ii| is not above 1e-14 (|z_l| max|E| + max|F|), the
-    scale of z_l E - F.
+    |z_l S_ii - T_ii| is not above 1e-14 (|z_l| max|E| + max|F|).
     """
     m = E.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=np.complex128)
     try:
         T, S, Q, Z = scipy.linalg.qz(F, E, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(f"QZ iteration failed: {exc}") from exc
     diag = nodes * np.diag(S)[:, None] - np.diag(T)[:, None]
-    scale = 1e-14 * (np.abs(nodes) * np.max(np.abs(E)) + np.max(np.abs(F)))
-    singular = ~(np.abs(diag) > scale).all(axis=0)
-    if singular.any():
-        z = nodes[np.argmax(singular)]
-        raise SingularSystem(f"pencil z E - F singular at node {z}")
+    _check_nodes(diag, nodes, np.abs(nodes) * np.max(np.abs(E)) + np.max(np.abs(F)))
     Y = np.empty((m, nodes.size), dtype=np.complex128)
     c = Q.conj().T @ rhs
     for i in range(m - 1, -1, -1):
@@ -244,8 +281,8 @@ def _v2_pencil(dec, rec):
 def rfom_v2(dec, rec, fun, rule):
     """Compact recycled approximation: one (k+j) system per quadrature node.
 
-    The node systems form the pencil z E - F of `_v2_pencil`; one QZ
-    reduction serves all of them. QZ loses digits when the columns of
+    The node systems form the pencil z E - F of `_v2_pencil`; one `eigh`
+    or QZ of it serves all of them. QZ loses digits when the columns of
     V_hat differ widely in length, so the pencil is balanced first by the
     exact power-of-two diagonal s = 2^-round(log2 sqrt(diag E)); unit
     columns, every V_j column among them, get s = 1.

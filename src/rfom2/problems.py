@@ -15,6 +15,7 @@ from .core import (
     UnknownFunction,
     UnsupportedFormat,
     eig_dense,
+    is_hermitian,
     lu_solve,
 )
 from .engines import FunctionSpec
@@ -260,10 +261,9 @@ def _on_branch_cut(z, include_origin=True):
 def _dense_via_eig(scalar_f, M):
     """f(M) for a small dense M via (symmetry-aware) eigendecomposition."""
     M = np.asarray(M)
-    scale = np.linalg.norm(M) if M.size else 0.0
     if M.shape[0] == 0:
         return M.copy()
-    if scale > 0 and np.linalg.norm(M - M.conj().T) <= 1e-12 * scale:
+    if is_hermitian(M):
         w, Q = eig_dense(M, hermitian=True)
         fw = np.array([scalar_f(lam) for lam in w], dtype=np.complex128)
         return (Q * fw) @ Q.conj().T

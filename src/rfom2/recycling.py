@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import as_operator
-from .core import RankDeficient, qr_orthonormalize, svd_values
+from .core import RankDeficient, is_hermitian, qr_orthonormalize, svd_values
 from .engines import RecycleSubspace, augmented_basis
 
 
@@ -30,7 +30,12 @@ def harmonic_ritz_update(dec, rec, op, k):
 
     Selecting the smallest |theta| targets functions whose singularity
     sits at the origin. The pencil is built on the basis with U deflated
-    against K_j; infinite or NaN pairs are skipped. The returned U has
+    against K_j; infinite or NaN pairs are skipped. lhs = (A V_hat)^* A V_hat
+    is positive definite. When rhs = (A V_hat)^* V_hat is Hermitian to
+    `is_hermitian`'s 1e-12, as it is for Hermitian A, one `eigh` solves
+    rhs g = nu lhs g with nu = 1/theta: the smallest |theta| are the largest
+    |nu|, and nu = 0 is an infinite theta. Otherwise, or when `eigh` fails,
+    a general `eig` solves the pencil as it stands. The returned U has
     unit columns, C = A U is one block apply, and numerically dependent
     selected vectors are dropped (the actual k may shrink).
     """
@@ -39,11 +44,8 @@ def harmonic_ritz_update(dec, rec, op, k):
         return RecycleSubspace.empty(op.dim)
     Vhat, AVhat = augmented_basis(dec, rec)
     lhs, rhs = _pencil(Vhat, AVhat)
-    values, vectors = scipy.linalg.eig(lhs, rhs, check_finite=False)
-    order = np.argsort(np.abs(values))
-    finite = [i for i in order if np.isfinite(values[i])]
-    sel = finite[: min(k, len(finite))]
-    U = Vhat @ vectors[:, sel]
+    vectors, ranked = _ranked_pairs(lhs, rhs)
+    U = Vhat @ vectors[:, ranked[:k]]
     norms = np.linalg.norm(U, axis=0)
     if np.max(norms) == 0.0:
         raise RankDeficient("harmonic Ritz vectors are numerically zero")
@@ -58,6 +60,22 @@ def harmonic_ritz_update(dec, rec, op, k):
         U = U[:, keep]
         U = U / np.linalg.norm(U, axis=0)
     return RecycleSubspace.from_basis(op, U)
+
+
+def _ranked_pairs(lhs, rhs):
+    """Eigenvectors of lhs g = theta rhs g and the indices of the finite
+    theta, smallest |theta| first; see `harmonic_ritz_update`."""
+    if is_hermitian(rhs):
+        try:
+            nu, vectors = scipy.linalg.eigh(rhs, lhs, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            pass  # lhs is not numerically positive definite
+        else:
+            order = np.argsort(-np.abs(nu))
+            return vectors, order[nu[order] != 0.0]
+    values, vectors = scipy.linalg.eig(lhs, rhs, check_finite=False)
+    order = np.argsort(np.abs(values))
+    return vectors, order[np.isfinite(values[order])]
 
 
 def subspace_angle(U, Z):

@@ -367,6 +367,25 @@ class TestMain:
         """)
         assert main(["run", cfgfile]) == 1
 
+    def test_graded_cluster_bounds_exit_2(self, tmp_path, capsys):
+        # the small cluster is geometrically spaced, so a zero bound or
+        # bounds of opposite sign are a config error, not a crash in the run
+        cfgfile = write_config(tmp_path, f"""
+            problem = graded_hermitian
+            n = 40
+            small_count = 4
+            j = 10
+            output = {tmp_path / "g.csv"}
+        """)
+        for sets, key in ((["small_min=0"], "small_min"), (["small_max=0"], "small_max"),
+                          (["small_min=-1"], "small_max"),
+                          (["small_min=0", "small_max=0"], "small_min")):
+            argv = ["run", cfgfile] + [a for s in sets for a in ("--set", s)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"'{key}'" in err and len(err.strip().splitlines()) == 1
+        assert main(["run", cfgfile, "--set", "small_min=2", "--set", "small_max=3"]) == 0
+
     def test_contour_failure_rows(self, tmp_path):
         # strong convection puts Ritz values on both sides of log's
         # singularity at 0: no circle separates them, every engine gets an
