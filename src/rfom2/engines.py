@@ -149,6 +149,7 @@ def rfom_v1(dec, rec, fun, rule):
     VjU = dec.Vj.conj().T @ U
     VjC = dec.Vj.conj().T @ C
     M = U.conj().T @ dec.V
+    MH = M @ dec.Hbar
     Ub = U.conj().T @ b
     Vjb = dec.beta * e1  # V_j^* b exactly, since v_1 = b/||b||
 
@@ -158,12 +159,13 @@ def rfom_v1(dec, rec, fun, rule):
     for z, w in zip(rule.nodes, rule.weights):
         mu = w * factor(z)
         if k:
-            Mbar = z * M[:, :j] - M @ dec.Hbar
+            Mbar = z * M[:, :j] - MH
+            P = z * UU - UC
             try:
-                F = scipy.linalg.lu_factor(z * UU - UC, check_finite=False)
+                F = scipy.linalg.lu_factor(P, check_finite=False)
             except scipy.linalg.LinAlgError as exc:
                 raise SingularProjector(f"projector block singular at node {z}") from exc
-            if np.min(np.abs(np.diag(F[0]))) < 1e-14 * max(np.max(np.abs(z * UU - UC)), 1e-300):
+            if np.min(np.abs(np.diag(F[0]))) < 1e-14 * max(np.max(np.abs(P)), 1e-300):
                 raise SingularProjector(f"projector block singular at node {z}")
             K = z * VjU - VjC
             LM = scipy.linalg.lu_solve(F, Mbar, check_finite=False)

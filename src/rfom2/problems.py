@@ -134,14 +134,14 @@ def gen_convection_diffusion_2d(m, convection=0.0):
 
 
 def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
-                         bulk_range=(20.0, 100.0), seed=0, sparse=True):
+                         bulk_range=(20.0, 100.0), seed=0):
     """Hermitian matrix with a graded spectrum: a few small outlying
     eigenvalues below a well-separated bulk.
 
     Built as Q diag(lam) Q^T with a random orthogonal Q; the small
-    cluster is logarithmically spaced. Returned in CSR form (dense
-    content) so it runs through the same sparse-operator plumbing as
-    the finite difference matrices.
+    cluster is logarithmically spaced. Returned in CSR form like every
+    other input; no entry is zero, so the CSR stores all n^2 of them and
+    `gen_perturbation_sequence` runs the matrix dense.
     """
     rng = np.random.default_rng(seed)
     small = np.geomspace(small_range[0], small_range[1], small_count)
@@ -150,7 +150,7 @@ def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = (Q * lam) @ Q.T
     A = 0.5 * (A + A.T)
-    return scipy.sparse.csr_matrix(A) if sparse else A
+    return scipy.sparse.csr_matrix(A)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
 
 @dataclass
 class ProblemSequence:
-    base: object            # sparse matrix A^(1)
+    base: object            # A^(1): a sparse matrix or anything CSR takes
     length: int
     eps: float = 0.0
     rhs_policy: str = "random_each"
@@ -167,47 +167,57 @@ class ProblemSequence:
 
 
 def gen_perturbation_sequence(seq):
-    """Yield (operator, rhs) pairs with on-pattern random perturbations.
+    """Yield (matrix, rhs) pairs with on-pattern random perturbations.
 
     Each step adds eps * E where E lives on the sparsity pattern of the
     base matrix and is Frobenius-normalized to ||A^(1)||_F; with the
     hermitian flag E is symmetrized first. All randomness comes from one
     seeded generator so identical parameters reproduce the sequence.
     The matrices keep the base matrix's dtype, and a real-valued base
-    gets real right-hand sides and perturbations.
+    gets real right-hand sides and perturbations. With eps = 0 every
+    problem gets the same matrix object.
+
+    Storage: when the base's CSR form stores every entry, the sequence
+    runs on its dense array and yields ndarrays, since CSR indexing buys
+    nothing there; any other base yields CSR matrices. Canonical CSR data
+    is in row-major order, so both forms draw E from the generator in the
+    same order, and the dense matrices equal the CSR ones to the bit.
     """
     if seq.rhs_policy not in ("random_each", "fixed"):
         raise ValueError(f"unknown rhs policy {seq.rhs_policy!r}")
     rng = np.random.default_rng(seq.seed)
     A = scipy.sparse.csr_matrix(seq.base)
+    A.sum_duplicates()  # canonical: sorted indices, no duplicate entries
     n = A.shape[0]
     base_fro = scipy.sparse.linalg.norm(A, "fro")
-    pattern = A.copy()
-    pattern.data = np.ones_like(pattern.data)
     is_real = bool(np.all(A.data.imag == 0.0))
+    dense = A.nnz == A.shape[0] * A.shape[1]
+    current = A.toarray() if dense else A
+    norm = np.linalg.norm if dense else scipy.sparse.linalg.norm
+
+    def random_values(shape):
+        if is_real:
+            return rng.standard_normal(shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def random_rhs():
-        if is_real:
-            return rng.standard_normal(n)
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        b = random_values(n)
+        return b if is_real else b / np.sqrt(2)
 
     fixed_b = random_rhs()
-    current = A
     for i in range(seq.length):
         if i > 0 and seq.eps != 0.0:
-            E = pattern.copy()
-            if is_real:
-                E.data = rng.standard_normal(E.data.size)
+            if dense:
+                E = random_values(A.shape)
             else:
-                E.data = (rng.standard_normal(E.data.size)
-                          + 1j * rng.standard_normal(E.data.size))
-            E = E.tocsr()
+                E = A.copy()
+                E.data = random_values(A.nnz)
             if seq.hermitian:
-                E = ((E + E.conj().T) * 0.5).tocsr()
-            fro = scipy.sparse.linalg.norm(E, "fro")
+                E = (E + E.conj().T) * 0.5
+            fro = norm(E, "fro")
             if fro > 0:
                 E = E * (base_fro / fro)
-            current = (current + seq.eps * E).tocsr()
+            current = current + seq.eps * E
         b = random_rhs() if seq.rhs_policy == "random_each" else fixed_b
         yield current, b
 

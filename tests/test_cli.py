@@ -255,6 +255,37 @@ class TestRunExperiment:
         assert len(gaps) == 3 * 3
         assert max(gaps) <= 1e-12
 
+    @pytest.mark.parametrize("eps, oracle_calls, refreshes", [(0.0, 1, 0), (1e-3, 3, 2)])
+    def test_fixed_matrix_reuses_oracle_and_c(self, tmp_path, monkeypatch, eps,
+                                              oracle_calls, refreshes):
+        # a fixed matrix is one object for the whole sequence: its oracle
+        # eigendecomposition is computed once and the update's C = A U is
+        # used as it stands; a changing matrix needs both every problem
+        calls = {"oracle": 0, "refresh": 0}
+        oracle_eig = rfom2.cli.oracle_eig
+
+        def counting_oracle(A, hermitian=False):
+            calls["oracle"] += 1
+            return oracle_eig(A, hermitian)
+
+        class CountingSubspace(rfom2.cli.RecycleSubspace):
+            @classmethod
+            def from_basis(cls, op, U):
+                calls["refresh"] += 1
+                return super().from_basis(op, U)
+
+        monkeypatch.setattr(rfom2.cli, "oracle_eig", counting_oracle)
+        monkeypatch.setattr(rfom2.cli, "RecycleSubspace", CountingSubspace)
+        cfg = ExperimentConfig(problem="graded_hermitian", n=120, small_count=8,
+                               small_min=1.0, small_max=1.2, bulk_min=15.0,
+                               bulk_max=60.0, function="inverse", j=20, k=6,
+                               n_quad=200, n_problems=3, eps=eps, engines="v2",
+                               seed=2, output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        assert not report.has_failures
+        assert [r["k"] for r in report.rows] == [0, 6, 6]
+        assert calls == {"oracle": oracle_calls, "refresh": refreshes}
+
     def test_sign_via_invsqrt(self, tmp_path):
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",
                                j=10, k=0, n_quad=200, n_problems=1,

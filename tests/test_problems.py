@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from rfom2 import (
     FunctionUndefined,
@@ -155,6 +156,105 @@ class TestPerturbationSequence:
         rhs = [b for _, b in gen_perturbation_sequence(seq)]
         assert np.array_equal(rhs[0], rhs[1]) and np.array_equal(rhs[1], rhs[2])
 
+
+
+def csr_sequence(seq):
+    """The sequence as a CSR loop on every base: the reference that the
+    dense storage path must reproduce to the bit."""
+    rng = np.random.default_rng(seq.seed)
+    A = scipy.sparse.csr_matrix(seq.base)
+    n = A.shape[0]
+    base_fro = scipy.sparse.linalg.norm(A, "fro")
+    pattern = A.copy()
+    pattern.data = np.ones_like(pattern.data)
+    is_real = bool(np.all(A.data.imag == 0.0))
+
+    def random_rhs():
+        if is_real:
+            return rng.standard_normal(n)
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+
+    fixed_b = random_rhs()
+    current = A
+    for i in range(seq.length):
+        if i > 0 and seq.eps != 0.0:
+            E = pattern.copy()
+            if is_real:
+                E.data = rng.standard_normal(E.data.size)
+            else:
+                E.data = (rng.standard_normal(E.data.size)
+                          + 1j * rng.standard_normal(E.data.size))
+            E = E.tocsr()
+            if seq.hermitian:
+                E = ((E + E.conj().T) * 0.5).tocsr()
+            fro = scipy.sparse.linalg.norm(E, "fro")
+            if fro > 0:
+                E = E * (base_fro / fro)
+            current = (current + seq.eps * E).tocsr()
+        b = random_rhs() if seq.rhs_policy == "random_each" else fixed_b
+        yield current, b
+
+
+def graded_base(kind):
+    """A fully stored graded base: real, real-valued complex128, or complex
+    Hermitian (imaginary part +1 above the diagonal, -1 below)."""
+    A = gen_graded_hermitian(60, small_count=6, small_range=(0.5, 2.0),
+                             bulk_range=(10.0, 30.0), seed=5)
+    if kind == "real":
+        return A
+    A = A.astype(np.complex128)
+    if kind == "complex":
+        ones = np.ones((60, 60))
+        A = A + 1j * scipy.sparse.csr_matrix(np.triu(ones, 1) - np.tril(ones, -1))
+    return A.tocsr()
+
+
+class TestStorageRule:
+    """A base whose CSR form stores every entry runs dense."""
+
+    @pytest.mark.parametrize("kind", ["real", "astype_complex", "complex"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("rhs_policy", ["random_each", "fixed"])
+    def test_fully_stored_base_runs_dense(self, kind, eps, hermitian, rhs_policy):
+        base = graded_base(kind)
+        assert base.nnz == 60 * 60
+        seq = ProblemSequence(base=base, length=4, eps=eps, rhs_policy=rhs_policy,
+                              seed=9, hermitian=hermitian)
+        got = list(gen_perturbation_sequence(seq))
+        want = list(csr_sequence(seq))
+        assert len(got) == len(want) == 4
+        for (A, b), (R, rb) in zip(got, want):
+            assert type(A) is np.ndarray and A.dtype == R.dtype
+            assert np.array_equal(A, R.toarray())
+            assert b.dtype == rb.dtype and np.array_equal(b, rb)
+        if eps == 0.0:
+            assert all(A is got[0][0] for A, _ in got)
+        else:
+            assert not np.array_equal(got[0][0], got[1][0])
+
+    @pytest.mark.parametrize("kind", ["graded_less_one_entry", "stencil"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_other_bases_stay_csr(self, kind, eps, hermitian):
+        if kind == "stencil":
+            base = gen_convection_diffusion_2d(6, 1.0)
+        else:
+            base = graded_base("real").tolil()
+            base[3, 7] = 0.0
+            base = base.tocsr()
+            base.eliminate_zeros()
+            assert base.nnz == 60 * 60 - 1
+        seq = ProblemSequence(base=base, length=3, eps=eps, seed=9, hermitian=hermitian)
+        got = list(gen_perturbation_sequence(seq))
+        for (A, b), (R, rb) in zip(got, csr_sequence(seq)):
+            # entry for entry the reference loop's CSR matrix
+            assert scipy.sparse.issparse(A) and A.format == "csr"
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(A, part), getattr(R, part))
+            assert np.array_equal(b, rb)
+        if eps == 0.0:
+            assert all(A is got[0][0] for A, _ in got)
 
 class TestOracle:
     def test_inverse_diag(self):
