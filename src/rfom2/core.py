@@ -84,11 +84,23 @@ def lu_solve(M, B):
         raise ValueError("dimension mismatch between M and B")
     if M.shape[0] == 0:
         return B.copy()
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    return scipy.linalg.lu_solve(lu_factor(M), B, check_finite=False)
+
+
+def lu_factor(M):
+    """(lu, piv) of a nonempty square M, LU with partial pivoting, for
+    scipy.linalg.lu_solve.
+
+    Raises SingularMatrix when a pivot falls below 1e-14 * max|M|. LAPACK's
+    getrf is called directly: scipy.linalg.lu_factor would first warn on
+    an exactly zero pivot.
+    """
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (M,))
+    lu, piv, _ = getrf(M)
     scale = np.max(np.abs(M))
     if scale == 0.0 or np.min(np.abs(np.diag(lu))) < 1e-14 * scale:
         raise SingularMatrix("pivot below 1e-14 * max|M|")
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    return lu, piv
 
 
 def qr_orthonormalize(M):

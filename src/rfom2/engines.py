@@ -10,6 +10,15 @@ once from one decomposition of their pencil z E - F: one `eigh` when the
 pencil is Hermitian-definite, as it is for Hermitian A, and one complex QZ
 otherwise. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature error
 `arnoldi_direct - arnoldi_quad`.
+
+On a real problem (real V, Hbar, U and C) whose nodes and coefficients
+come in conjugate pairs, as on a trapezoid circle with a real centre, the
+solve at conj(z) is the conjugate of the solve at z. `arnoldi_quad`,
+`rfom_v1` and `rfom_v2` then solve one node of each pair with twice its
+weight and return the real part of their sum (the "imag" form of Hale,
+Higham and Trefethen, 2008), so their results are float64 and `rfom_v3`
+shares the fold through them. Complex problems, and rules or functions
+without that symmetry, sum every node.
 """
 
 from dataclasses import dataclass
@@ -25,10 +34,11 @@ from .core import (
     SingularShift,
     SingularSystem,
     is_hermitian,
+    lu_factor,
     lu_solve,
     svd_values,
 )
-from .quadrature import QuadratureRule
+from .quadrature import CONJUGATE_RTOL, QuadratureRule
 
 
 @dataclass
@@ -126,8 +136,9 @@ def arnoldi_quad(dec, fun, rule):
     """Quadrature form of the Arnoldi approximation (the "Arnoldi (q)" baseline),
     V_j q(H_j) beta e_1, with the node sum over the pencil (I_j, H_j)."""
     beta_e1 = dec.beta * np.eye(dec.j, 1)[:, 0]  # V_j^* b
-    return dec.Vj @ _pencil_node_sum(np.eye(dec.j), dec.H, beta_e1,
-                                     rule.nodes, _node_weights(fun, rule))
+    nodes, mu, folded = _folded_nodes(fun, rule, dec)
+    y = _pencil_node_sum(np.eye(dec.j), dec.H, beta_e1, nodes, mu)
+    return dec.Vj @ (y.real if folded else y)
 
 
 def rfom_v1(dec, rec, fun, rule):
@@ -155,18 +166,14 @@ def rfom_v1(dec, rec, fun, rule):
 
     t1 = np.zeros(j, dtype=np.complex128)
     t2 = np.zeros(k, dtype=np.complex128)
-    factor = _node_factor(fun, rule)
-    for z, w in zip(rule.nodes, rule.weights):
-        mu = w * factor(z)
+    nodes, weights, folded = _folded_nodes(fun, rule, dec, rec)
+    for z, mu in zip(nodes, weights):
         if k:
             Mbar = z * M[:, :j] - MH
-            P = z * UU - UC
             try:
-                F = scipy.linalg.lu_factor(P, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
+                F = lu_factor(z * UU - UC)
+            except SingularMatrix as exc:
                 raise SingularProjector(f"projector block singular at node {z}") from exc
-            if np.min(np.abs(np.diag(F[0]))) < 1e-14 * max(np.max(np.abs(P)), 1e-300):
-                raise SingularProjector(f"projector block singular at node {z}")
             K = z * VjU - VjC
             LM = scipy.linalg.lu_solve(F, Mbar, check_finite=False)
             Lub = scipy.linalg.lu_solve(F, Ub, check_finite=False)
@@ -185,7 +192,7 @@ def rfom_v1(dec, rec, fun, rule):
     out = dec.Vj @ t1
     if k:
         out = out + U @ t2
-    return out
+    return out.real if folded else out
 
 
 def _pencil_node_sum(E, F, rhs, nodes, mu):
@@ -260,6 +267,29 @@ def _node_weights(fun, rule):
     return rule.weights * np.array([factor(z) for z in rule.nodes], dtype=np.complex128)
 
 
+def _folded_nodes(fun, rule, dec, rec=None):
+    """(nodes, mu, folded): the nodes and coefficients an engine sums over.
+
+    When every array the engine reads is real (V, and so b = beta V[:, 0],
+    Hbar, and U and C when k > 0) and the pairs (z_l, mu_l) are closed
+    under conjugation to CONJUGATE_RTOL, the solve at conj(z) is the
+    conjugate of the solve at z, so the sum is real: a node that is its
+    own partner keeps mu, every other node with Im z > 0 keeps 2 mu, and
+    its partner is dropped; the engine then takes the real part of its sum
+    (folded is True). Otherwise all nodes keep mu (folded is False).
+    """
+    mu = _node_weights(fun, rule)
+    arrays = [dec.V, dec.Hbar] + ([rec.U, rec.C] if rec is not None and rec.k else [])
+    partner = rule.conjugate_partner if all(np.isrealobj(a) for a in arrays) else None
+    if partner is None \
+            or np.max(np.abs(mu[partner] - mu.conj())) > CONJUGATE_RTOL * np.max(np.abs(mu)):
+        return rule.nodes, mu, False
+    z = rule.nodes
+    alone = partner == np.arange(z.size)
+    keep = alone | (z.imag > z.imag[partner])
+    return z[keep], np.where(alone, mu, 2.0 * mu)[keep], True
+
+
 def _v2_pencil(dec, rec):
     """v2's node matrix V_hat^* (z I - A) V_hat as z E - F, on the pair of
     `augmented_basis`.
@@ -291,9 +321,9 @@ def rfom_v2(dec, rec, fun, rule):
     """
     Vhat, E, F, Vhb = _v2_pencil(dec, rec)
     s = 2.0 ** -np.round(np.log2(np.sqrt(np.diag(E).real)))
-    y = _pencil_node_sum(s[:, None] * E * s, s[:, None] * F * s, s * Vhb,
-                         rule.nodes, _node_weights(fun, rule))
-    return Vhat @ (s * y)
+    nodes, mu, folded = _folded_nodes(fun, rule, dec, rec)
+    y = _pencil_node_sum(s[:, None] * E * s, s[:, None] * F * s, s * Vhb, nodes, mu)
+    return Vhat @ (s * (y.real if folded else y))
 
 
 def rfom_v3(dec, rec, fun, rule):

@@ -6,10 +6,20 @@ sum_l w_l * f(z_l) * x(z_l).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import NoSeparatingContour
+
+# Relative tolerance, against max|z| and max|mu|, to which a rule's nodes
+# and a node sum's coefficients mu_l must be closed under conjugation for
+# the engines to fold conjugate pairs. Over trapezoid circles with 2 to
+# 5000 nodes, centres 0.1 to 1000 and radii 1 to 49.3, the pairs matched
+# to 6.4e-16 in z and to 4.0e-14 in mu = w f(z) for inverse, invsqrt,
+# sqrt, log and exp (the largest where the circle passes 1.45 from the
+# singularity of 1/z).
+CONJUGATE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,33 @@ class QuadratureRule:
     @property
     def n_quad(self):
         return self.nodes.size
+
+    @cached_property
+    def conjugate_partner(self):
+        """partner[l], the index of the node nearest conj(z_l), or None when
+        some partner is farther than CONJUGATE_RTOL max|z| or the pairing
+        is not one to one.
+
+        Partners are matched by distance, not by the sign of Im z: a real
+        node, and the theta = pi node of a trapezoid circle (Im z = r sin pi,
+        about 1e-16 r), is its own partner. The search looks next to the
+        place of conj(z_l) in the nodes sorted by real, then imaginary part:
+        a partner whose real part differs from z_l's by rounding sits there,
+        with at most z_l itself between them.
+        """
+        z = self.nodes
+        order = np.argsort(z)
+        target = z.conj()
+        window = np.clip(np.searchsorted(z[order], target)[:, None] + np.arange(-2, 2),
+                         0, z.size - 1)
+        dist = np.abs(z[order[window]] - target[:, None])
+        best = np.argmin(dist, axis=1)
+        rows = np.arange(z.size)
+        partner = order[window[rows, best]]
+        if dist[rows, best].max() > CONJUGATE_RTOL * np.abs(z).max() \
+                or not np.array_equal(partner[partner], rows):
+            return None
+        return partner
 
 
 def trapezoid_contour(contour, n_quad):
@@ -78,12 +115,22 @@ def stieltjes_invsqrt(n_quad):
     return QuadratureRule(nodes=sigma, weights=weights, kind="stieltjes")
 
 
+def _centre_imag(est, mean_imag):
+    """The centre's imaginary part: exactly 0 when the estimates are closed
+    under conjugation, as LAPACK returns the eigenvalues of a real matrix
+    (their mean imaginary part can read 1e-18), else mean_imag."""
+    if np.array_equal(np.sort_complex(est), np.sort_complex(est.conj())):
+        return 0.0
+    return float(mean_imag)
+
+
 def suggest_contour(spectrum_estimates, margin):
     """Circle at the estimates' centroid enclosing them with a margin."""
     est = np.asarray(spectrum_estimates, dtype=np.complex128).reshape(-1)
     if est.size == 0:
         raise ValueError("need at least one spectrum estimate")
-    center = complex(np.mean(est))
+    mean = np.mean(est)
+    center = complex(mean.real, _centre_imag(est, mean.imag))
     maxdist = float(np.max(np.abs(est - center)))
     if maxdist == 0.0:
         radius = margin * max(abs(center), 1.0)
@@ -116,7 +163,7 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
     est = np.asarray(spectrum_estimates, dtype=np.complex128).reshape(-1)
     re = est.real
     lo, hi = float(np.min(re)), float(np.max(re))
-    center = complex((lo + hi) / 2.0, float(np.mean(est.imag)))
+    center = complex((lo + hi) / 2.0, _centre_imag(est, np.mean(est.imag)))
     need = float(np.max(np.abs(est - center)))
     avail = abs(s - center)
     if avail <= need:

@@ -44,6 +44,13 @@ class TestLuSolve:
         with pytest.raises(ValueError):
             lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
 
+    def test_exactly_singular_raises_without_a_warning(self):
+        # an exactly zero pivot raises SingularMatrix with no warning first;
+        # under the suite's filterwarnings = error, scipy's LinAlgWarning
+        # would be raised in its place
+        with pytest.raises(SingularMatrix):
+            lu_solve(np.zeros((3, 3)), np.ones(3))
+
 
 class TestQr:
     def test_orthonormal_input(self):

@@ -5,13 +5,18 @@ import pytest
 
 from rfom2 import (
     CircleContour,
+    QuadratureRule,
+    arnoldi,
+    arnoldi_quad,
     eig_dense,
+    function_catalog,
     guarded_contour,
     stieltjes_invsqrt,
     suggest_contour,
     trapezoid_contour,
 )
-from rfom2.problems import gen_laplacian_2d
+from rfom2.engines import _folded_nodes
+from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d
 
 
 def contour_sum(rule, g):
@@ -108,3 +113,50 @@ class TestContourSuggestion:
     def test_guarded_inseparable(self):
         with pytest.raises(ValueError):
             guarded_contour([-1.0, 1.0], 0.1, singularity=0.0)
+
+
+class TestConjugatePartner:
+    """Each node's conjugate among the nodes, matched by distance."""
+
+    @pytest.mark.parametrize("n_quad", [2, 3, 8, 9, 1000, 1001])
+    def test_trapezoid_circle_with_real_centre(self, n_quad):
+        # the theta = 0 node and, for even n_quad, the theta = pi node
+        # (Im z = r sin pi, not 0) are their own partners; node l pairs
+        # with node n_quad - l
+        rule = trapezoid_contour(CircleContour(50.75 + 0.0j, 49.3), n_quad)
+        if n_quad % 2 == 0:
+            assert rule.nodes[n_quad // 2].imag != 0.0
+        expected = -np.arange(n_quad) % n_quad
+        assert np.array_equal(rule.conjugate_partner, expected)
+
+    def test_stieltjes_nodes_are_their_own_partners(self):
+        rule = stieltjes_invsqrt(7)
+        assert np.array_equal(rule.conjugate_partner, np.arange(7))
+
+    def test_unpaired_nodes_have_none(self):
+        assert trapezoid_contour(CircleContour(5.0 + 0.5j, 4.0), 16).conjugate_partner is None
+        rule = QuadratureRule(nodes=[1.0 + 1.0j, 2.0 - 1.0j], weights=[1.0, 1.0])
+        assert rule.conjugate_partner is None
+
+
+class TestRealCentre:
+    def test_real_nonsymmetric_h_gets_a_real_centre(self):
+        # the Ritz values of a real H come in exact conjugate pairs, whose
+        # imaginary parts need not average to 0 in floating point; the
+        # centre is real, so arnoldi_quad folds its conjugate node pairs
+        A = gen_convection_diffusion_2d(20, 1.0)
+        dec = arnoldi(A, np.random.default_rng(0).standard_normal(400), 50)
+        est = np.linalg.eigvals(dec.H)
+        assert np.any(est.imag != 0.0)
+        fun = function_catalog("inverse")
+        assert suggest_contour(est, 0.1).center.imag == 0.0
+        contour = guarded_contour(est, 0.1, singularity=fun.singularity)
+        assert contour.center.imag == 0.0
+        rule = trapezoid_contour(contour, 200)
+        assert _folded_nodes(fun, rule, dec)[2]
+        assert arnoldi_quad(dec, fun, rule).dtype == np.float64
+
+    def test_estimates_not_closed_keep_their_mean(self):
+        est = np.array([1.0 + 1.0j, 3.0 + 0.5j])
+        assert suggest_contour(est, 0.1).center == 2.0 + 0.75j
+        assert guarded_contour(est, 0.1, singularity=0.0).center.imag == 0.75
