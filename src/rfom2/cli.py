@@ -259,6 +259,9 @@ def _base_matrix(cfg):
         if not os.path.isabs(path):
             path = os.path.join(os.environ.get(DATA_DIR_ENV, "."), path)
         A = load_matrix_market(path)
+        if A.shape[0] != A.shape[1]:
+            raise ParseError(f"config key 'matrix_file': {cfg.matrix_file} holds a "
+                             f"{A.shape[0]} x {A.shape[1]} matrix, not a square one")
         herm = (A != A.conj().T).nnz == 0
         return A, herm
     raise ValueError(f"unknown problem kind {cfg.problem!r}")

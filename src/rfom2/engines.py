@@ -38,12 +38,13 @@ from .core import (
     lu_solve,
     svd_values,
 )
-from .quadrature import CONJUGATE_RTOL, QuadratureRule
+from .quadrature import CONJUGATE_RTOL
 
 
 @dataclass
 class FunctionSpec:
-    """Scalar and small-dense evaluators of one matrix function."""
+    """Evaluators of one matrix function: scalar_f at every point of a
+    scalar or an array, dense_f on a small square array."""
 
     name: str
     scalar_f: callable
@@ -116,7 +117,7 @@ def augmented_basis(dec, rec):
 
 
 def _node_factor(fun, rule):
-    """Per-node scalar multiplying the resolvent term.
+    """Per-node scalar multiplying the resolvent term, at one node or many.
 
     Contour rules integrate f(z) against the resolvent; Stieltjes rules
     already absorb the density of f into their weights.
@@ -263,8 +264,7 @@ def _qz_node_sum(E, F, rhs, nodes, mu):
 
 def _node_weights(fun, rule):
     """mu_l = w_l * factor(z_l), the coefficient of node l's solve."""
-    factor = _node_factor(fun, rule)
-    return rule.weights * np.array([factor(z) for z in rule.nodes], dtype=np.complex128)
+    return rule.weights * _node_factor(fun, rule)(rule.nodes)
 
 
 def _folded_nodes(fun, rule, dec, rec=None):

@@ -243,13 +243,13 @@ def oracle_eig(A, hermitian=False):
 
 
 def oracle_apply(fun, eig, b, hermitian=False):
-    """f(A) b from A's oracle_eig decomposition.
+    """f(A) b from A's oracle_eig decomposition, b a vector or a block of
+    columns.
 
     Eigenvalues at a singularity of f raise FunctionUndefined.
     """
     w, V = eig
-    b = np.asarray(b).reshape(-1)
-    fw = np.array([fun.scalar_f(lam) for lam in w], dtype=np.complex128)
+    fw = fun.scalar_f(w).reshape((-1,) + (1,) * (np.ndim(b) - 1))
     if hermitian:
         return V @ (fw * (V.conj().T @ b))
     return V @ (fw * np.linalg.solve(V, b))
@@ -260,88 +260,63 @@ def oracle_funm(A, fun, b, hermitian=False):
     return oracle_apply(fun, oracle_eig(A, hermitian), b, hermitian)
 
 
-def _on_branch_cut(z, include_origin=True):
-    z = complex(z)
-    near_axis = abs(z.imag) < 1e-14 * max(abs(z), 1.0)
-    if z.real < 0 and near_axis:
-        return True
-    return include_origin and abs(z) < 1e-300
-
-
-def _dense_via_eig(scalar_f, M):
+def _dense_via_eig(fun, M):
     """f(M) for a small dense M via (symmetry-aware) eigendecomposition."""
     M = np.asarray(M)
     if M.shape[0] == 0:
         return M.copy()
-    if is_hermitian(M):
-        w, Q = eig_dense(M, hermitian=True)
-        fw = np.array([scalar_f(lam) for lam in w], dtype=np.complex128)
-        return (Q * fw) @ Q.conj().T
-    w, P = eig_dense(M, hermitian=False)
-    cond = np.linalg.cond(P)
-    if not np.isfinite(cond) or cond >= 1e10:
-        raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
-    fw = np.array([scalar_f(lam) for lam in w], dtype=np.complex128)
-    return (P * fw) @ np.linalg.inv(P)
+    hermitian = is_hermitian(M)
+    w, P = eig_dense(M, hermitian=hermitian)
+    if not hermitian:
+        cond = np.linalg.cond(P)
+        if not np.isfinite(cond) or cond >= 1e10:
+            raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
+    return oracle_apply(fun, (w, P), np.eye(M.shape[0]), hermitian)
 
 
-def _make_scalar(name):
-    if name == "inverse":
-        def f(z):
-            if abs(z) < 1e-300:
-                raise FunctionUndefined("1/z undefined at 0")
-            return 1.0 / z
-    elif name == "invsqrt":
-        def f(z):
-            if _on_branch_cut(z):
-                raise FunctionUndefined(f"z^(-1/2) undefined at {z}")
-            return complex(z) ** (-0.5)
-    elif name == "sqrt":
-        def f(z):
-            if _on_branch_cut(z, include_origin=False):
-                raise FunctionUndefined(f"sqrt undefined at {z}")
-            return complex(z) ** 0.5
-    elif name == "log":
-        def f(z):
-            if _on_branch_cut(z):
-                raise FunctionUndefined(f"log undefined at {z}")
-            return np.log(complex(z))
-    elif name == "exp":
-        def f(z):
-            return np.exp(complex(z))
-    else:  # pragma: no cover
-        raise UnknownFunction(name)
-    return f
+def _dense_inverse(M):
+    M = np.asarray(M)
+    try:
+        return lu_solve(M, np.eye(M.shape[0]))
+    except SingularMatrix as exc:
+        raise FunctionUndefined("matrix has an eigenvalue at 0") from exc
+
+
+# f on scalars and arrays, and whether f is undefined at the origin
+# (|z| < 1e-300) and on the cut (-inf, 0) of the principal branch
+# (Re z < 0 and |Im z| < 1e-14 max(|z|, 1))
+_CATALOG = {
+    "inverse": (lambda z: 1.0 / z, True, False),
+    "invsqrt": (lambda z: 1.0 / np.sqrt(z), True, True),
+    "sqrt": (np.sqrt, False, True),
+    "log": (np.log, True, True),
+    "exp": (np.exp, False, False),
+}
 
 
 def function_catalog(name):
     """FunctionSpec for one of: inverse, invsqrt, sqrt, log, exp,
-    sign_via_invsqrt."""
+    sign_via_invsqrt. scalar_f raises FunctionUndefined when some point is
+    where f is undefined."""
     if name == "sign_via_invsqrt":
-        invsqrt = _make_scalar("invsqrt")
-
-        def scalar_sign(z):
-            return complex(z) * invsqrt(complex(z) ** 2)
-
-        def dense_sign(M):
-            M = np.asarray(M)
-            return M @ _dense_via_eig(invsqrt, M @ M)
-
-        return FunctionSpec(name=name, scalar_f=scalar_sign, dense_f=dense_sign,
-                            singularity=0.0 + 0.0j)
-    if name not in ("inverse", "invsqrt", "sqrt", "log", "exp"):
+        invsqrt = function_catalog("invsqrt")
+        return FunctionSpec(name=name, scalar_f=lambda z: z * invsqrt.scalar_f(z ** 2),
+                            dense_f=lambda M: M @ invsqrt.dense_f(M @ M))
+    if name not in _CATALOG:
         raise UnknownFunction(name)
-    scalar = _make_scalar(name)
-    if name == "inverse":
-        def dense(M):
-            M = np.asarray(M)
-            try:
-                return lu_solve(M, np.eye(M.shape[0]))
-            except SingularMatrix as exc:
-                raise FunctionUndefined("matrix has an eigenvalue at 0") from exc
-    else:
-        def dense(M, _scalar=scalar):
-            return _dense_via_eig(_scalar, M)
-    singularity = None if name == "exp" else 0.0 + 0.0j
-    return FunctionSpec(name=name, scalar_f=scalar, dense_f=dense,
-                        singularity=singularity)
+    f, origin, cut = _CATALOG[name]
+
+    def scalar_f(z):
+        z = np.asarray(z)
+        r = np.abs(z)
+        bad = (origin & (r < 1e-300)) \
+            | (cut & (z.real < 0) & (np.abs(z.imag) < 1e-14 * np.maximum(r, 1.0)))
+        if np.any(bad):
+            raise FunctionUndefined(f"{name} undefined at {z[bad].flat[0]}")
+        return f(z)
+
+    fun = FunctionSpec(name=name, scalar_f=scalar_f, dense_f=_dense_inverse,
+                       singularity=None if name == "exp" else 0.0 + 0.0j)
+    if name != "inverse":
+        fun.dense_f = lambda M: _dense_via_eig(fun, M)
+    return fun

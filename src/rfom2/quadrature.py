@@ -6,19 +6,18 @@ sum_l w_l * f(z_l) * x(z_l).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import NoSeparatingContour
 
-# Relative tolerance, against max|z| and max|mu|, to which a rule's nodes
-# and a node sum's coefficients mu_l must be closed under conjugation for
-# the engines to fold conjugate pairs. Over trapezoid circles with 2 to
-# 5000 nodes, centres 0.1 to 1000 and radii 1 to 49.3, the pairs matched
-# to 6.4e-16 in z and to 4.0e-14 in mu = w f(z) for inverse, invsqrt,
-# sqrt, log and exp (the largest where the circle passes 1.45 from the
-# singularity of 1/z).
+# Relative tolerance, against max|mu|, to which a node sum's coefficients
+# mu_l = w_l f(z_l) must be closed under the rule's conjugate pairing for
+# the engines to fold the pairs; the rules' own nodes are paired by
+# construction. Over trapezoid circles with 2 to 5000 nodes, centres 0.1
+# to 1000 and radii 1 to 49.3, the pairs matched to 6.4e-16 in z and to
+# 4.0e-14 in mu for inverse, invsqrt, sqrt, log and exp (the largest
+# where the circle passes 1.45 from the singularity of 1/z).
 CONJUGATE_RTOL = 1e-12
 
 
@@ -38,6 +37,9 @@ class QuadratureRule:
     weights: np.ndarray
     kind: str = "contour"
     contour: CircleContour | None = field(default=None, compare=False)
+    # partner[l], the index of the node at conj(z_l), set by the
+    # constructors that pair their nodes; None for unpaired nodes
+    conjugate_partner: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.complex128))
@@ -48,33 +50,6 @@ class QuadratureRule:
     @property
     def n_quad(self):
         return self.nodes.size
-
-    @cached_property
-    def conjugate_partner(self):
-        """partner[l], the index of the node nearest conj(z_l), or None when
-        some partner is farther than CONJUGATE_RTOL max|z| or the pairing
-        is not one to one.
-
-        Partners are matched by distance, not by the sign of Im z: a real
-        node, and the theta = pi node of a trapezoid circle (Im z = r sin pi,
-        about 1e-16 r), is its own partner. The search looks next to the
-        place of conj(z_l) in the nodes sorted by real, then imaginary part:
-        a partner whose real part differs from z_l's by rounding sits there,
-        with at most z_l itself between them.
-        """
-        z = self.nodes
-        order = np.argsort(z)
-        target = z.conj()
-        window = np.clip(np.searchsorted(z[order], target)[:, None] + np.arange(-2, 2),
-                         0, z.size - 1)
-        dist = np.abs(z[order[window]] - target[:, None])
-        best = np.argmin(dist, axis=1)
-        rows = np.arange(z.size)
-        partner = order[window[rows, best]]
-        if dist[rows, best].max() > CONJUGATE_RTOL * np.abs(z).max() \
-                or not np.array_equal(partner[partner], rows):
-            return None
-        return partner
 
 
 def trapezoid_contour(contour, n_quad):
@@ -89,11 +64,15 @@ def trapezoid_contour(contour, n_quad):
         raise ValueError("need at least 2 nodes on a closed contour")
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     ring = contour.radius * np.exp(1j * theta)
+    # on a real centre node l pairs with node n - l (theta_{n-l} = 2 pi -
+    # theta_l); the theta = 0 and theta = pi nodes pair with themselves
+    partner = -np.arange(n_quad) % n_quad if np.imag(contour.center) == 0 else None
     return QuadratureRule(
         nodes=ring + contour.center,
         weights=ring / n_quad,
         kind="contour",
         contour=contour,
+        conjugate_partner=partner,
     )
 
 
@@ -112,7 +91,8 @@ def stieltjes_invsqrt(n_quad):
     t = (1.0 - u) / (1.0 + u)
     sigma = -(t**2)
     weights = -(2.0 / np.pi) * w * 2.0 / (1.0 + u) ** 2
-    return QuadratureRule(nodes=sigma, weights=weights, kind="stieltjes")
+    return QuadratureRule(nodes=sigma, weights=weights, kind="stieltjes",
+                          conjugate_partner=np.arange(n_quad))
 
 
 def _centre_imag(est, mean_imag):

@@ -398,6 +398,22 @@ class TestMain:
         """)
         assert main(["run", cfgfile]) == 1
 
+    def test_non_square_matrix_file_exits_2(self, tmp_path, capsys):
+        # the loader reads any shape; a run needs a square operator
+        mfile = tmp_path / "wide.mtx"
+        mfile.write_text("%%MatrixMarket matrix coordinate real general\n"
+                         "3 4 2\n1 1 1.0\n3 4 2.0\n")
+        cfgfile = write_config(tmp_path, f"""
+            problem = matrix_market
+            matrix_file = {mfile}
+            j = 2
+            output = {tmp_path / "w.csv"}
+        """)
+        assert main(["run", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert "'matrix_file'" in err and "3 x 4" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_graded_cluster_bounds_exit_2(self, tmp_path, capsys):
         # the small cluster is geometrically spaced, so a zero bound or
         # bounds of opposite sign are a config error, not a crash in the run

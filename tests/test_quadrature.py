@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfom2 import (
     CircleContour,
@@ -16,6 +18,7 @@ from rfom2 import (
     trapezoid_contour,
 )
 from rfom2.engines import _folded_nodes
+from rfom2.quadrature import CONJUGATE_RTOL
 from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d
 
 
@@ -137,6 +140,34 @@ class TestConjugatePartner:
         assert trapezoid_contour(CircleContour(5.0 + 0.5j, 4.0), 16).conjugate_partner is None
         rule = QuadratureRule(nodes=[1.0 + 1.0j, 2.0 - 1.0j], weights=[1.0, 1.0])
         assert rule.conjugate_partner is None
+
+
+def assert_conjugate_pairing(rule):
+    """The pairing a constructor sets is an involution that maps every node
+    and every weight to its conjugate, to CONJUGATE_RTOL."""
+    p = rule.conjugate_partner
+    assert np.array_equal(p[p], np.arange(rule.n_quad))
+    for a in (rule.nodes, rule.weights):
+        assert np.max(np.abs(a.conj() - a[p])) <= CONJUGATE_RTOL * np.max(np.abs(a))
+
+
+class TestConstructorPairing:
+    """The engines fold on the constructors' pairing without checking the
+    nodes; these are the checks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=st.floats(-1e3, 1e3), radius=st.floats(1e-3, 1e3),
+           n_quad=st.integers(2, 5000))
+    @example(center=50.75, radius=49.3, n_quad=2)
+    @example(center=0.1, radius=1.0, n_quad=5000)
+    @example(center=-1e3, radius=1e-3, n_quad=4999)
+    def test_trapezoid_circle_with_real_centre(self, center, radius, n_quad):
+        assert_conjugate_pairing(trapezoid_contour(CircleContour(complex(center), radius),
+                                                   n_quad))
+
+    @pytest.mark.parametrize("n_quad", [1, 2, 7, 30, 1000])
+    def test_stieltjes(self, n_quad):
+        assert_conjugate_pairing(stieltjes_invsqrt(n_quad))
 
 
 class TestRealCentre:
