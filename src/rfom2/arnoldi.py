@@ -1,6 +1,6 @@
 """Arnoldi process with reorthogonalization, and shifted FOM solves."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -48,7 +48,8 @@ class ArnoldiDecomposition:
 
     Satisfies A V[:, :j] = V Hbar with V[:, 0] = b / ||b||. On breakdown
     the decomposition is truncated: the subdiagonal tail of Hbar and the
-    trailing column of V are zero.
+    trailing column of V are zero. `op` is the LinearOperator of A that
+    built it, which the recycled engines compare with a subspace's.
     """
 
     V: np.ndarray
@@ -56,6 +57,7 @@ class ArnoldiDecomposition:
     j: int
     beta: float
     breakdown: bool = False
+    op: LinearOperator | None = field(default=None, repr=False, compare=False)
 
     @property
     def H(self):
@@ -113,11 +115,12 @@ def arnoldi(op, b, j, reorth=True):
                 j=jt,
                 beta=float(beta),
                 breakdown=True,
+                op=op,
             )
         Hbar[ell + 1, ell] = hnext
         V[:, ell + 1] = w / hnext
 
-    return ArnoldiDecomposition(V=V, Hbar=Hbar, j=j, beta=float(beta))
+    return ArnoldiDecomposition(V=V, Hbar=Hbar, j=j, beta=float(beta), op=op)
 
 
 def shifted_fom_solve(dec, sigma):

@@ -425,12 +425,13 @@ def run_experiment(cfg):
     rec = RecycleSubspace.empty(seq.base.shape[0])
     previous = None
     for i, (A, b) in enumerate(gen_perturbation_sequence(seq), start=1):
-        op = as_operator(A)
-        if rec.k and A is not previous:
-            # the update made C = A U for the previous matrix; the engines
-            # need it for this one (one block apply, none on a fixed matrix)
-            rec = RecycleSubspace.from_basis(op, rec.U)
-        previous = A
+        if A is not previous:
+            # one operator per matrix: the update's C = A U is bound to it,
+            # so a fixed matrix needs no block apply; a new matrix needs one
+            op = as_operator(A)
+            if rec.k:
+                rec = RecycleSubspace.from_basis(op, rec.U)
+            previous = A
         dec = arnoldi(op, b, cfg.j, reorth=True)
         row = dict(problem_index=i, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
         eig, reference = _oracle_step(cache, fun, A, b, report, row)
@@ -459,12 +460,13 @@ def sweep_quadrature(cfg, n_list):
     for nq in n_list:
         _check_n_quad(cfg.quad_kind, nq, "--nquad")
     A, b = next(gen_perturbation_sequence(seq))
-    dec = arnoldi(as_operator(A), b, cfg.j, reorth=True)
+    op = as_operator(A)
+    dec = arnoldi(op, b, cfg.j, reorth=True)
     report = RunReport(path=cfg.output)
     rec = RecycleSubspace.empty(A.shape[0])
     if cfg.k > 0 and cache is not None and cache.hermitian:
         try:
-            rec = RecycleSubspace.from_basis(A, cache.eig_for(A)[1][:, : cfg.k])
+            rec = RecycleSubspace.from_basis(op, cache.eig_for(A)[1][:, : cfg.k])
         except RFOMError:
             pass  # _oracle_step below reports the failure
     row = dict(problem_index=1, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)

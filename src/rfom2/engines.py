@@ -3,7 +3,10 @@
 `arnoldi_direct` and `arnoldi_quad` are the plain Krylov baselines; the
 three recycled engines consume an additional augmentation subspace U
 with C = A U carried across problems. All engines are pure functions of
-(decomposition, subspace, function, rule). Only `rfom_v1`, the
+(decomposition, subspace, function, rule), apart from one in-place
+refresh: a subspace whose C was computed for another operator than the
+decomposition's gets C = A U for the decomposition's operator, once, the
+first time any engine reads it (`_current`). Only `rfom_v1`, the
 independent reference, accumulates its quadrature sum node by node, in
 ascending node order. `arnoldi_quad` and `rfom_v2` sum over all nodes at
 once from one decomposition of their pencil z E - F: one `eigh` when the
@@ -21,12 +24,12 @@ shares the fold through them. Complex problems, and rules or functions
 without that symmetry, sum every node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import ArnoldiDecomposition, as_operator
+from .arnoldi import ArnoldiDecomposition, LinearOperator, as_operator
 from .core import (
     NoConvergence,
     SingularMatrix,
@@ -57,11 +60,16 @@ class RecycleSubspace:
     """Augmentation subspace U with its image C = A U.
 
     The recycled engines depend on U only through span(U), so its columns
-    may have any lengths.
+    may have any lengths. `op` is the operator C belongs to: `from_basis`
+    and `harmonic_ritz_update` set it, and an engine run on a
+    decomposition of another operator first replaces C, in place, by that
+    operator applied to U (one block apply per subspace and operator). A C
+    supplied without `op` is trusted as it stands.
     """
 
     U: np.ndarray
     C: np.ndarray
+    op: LinearOperator | None = field(default=None, repr=False, compare=False)
 
     @property
     def k(self):
@@ -75,8 +83,20 @@ class RecycleSubspace:
     @classmethod
     def from_basis(cls, op, U):
         """Build a subspace from basis columns; C = A U is one block apply."""
-        U = np.asarray(U)
-        return cls(U=U, C=as_operator(op).apply(U))
+        U, op = np.asarray(U), as_operator(op)
+        return cls(U=U, C=op.apply(U), op=op)
+
+
+def _current(dec, rec):
+    """rec, with C made A U for dec's operator if it belongs to another.
+
+    The comparison is by identity, so a new wrapper of the same matrix
+    counts as another operator. A C without an operator, or a decomposition
+    without one, is left as it is.
+    """
+    if rec.k and rec.op is not None and dec.op is not None and rec.op is not dec.op:
+        rec.C, rec.op = dec.op.apply(rec.U), dec.op
+    return rec
 
 
 # Relative cut, against ||U||_2, on the singular values of U's part
@@ -100,7 +120,7 @@ def _deflate(dec, rec):
     if keep.all():
         return rec
     X = Xh[keep].conj().T
-    return RecycleSubspace(U=U @ X, C=rec.C @ X)
+    return RecycleSubspace(U=U @ X, C=rec.C @ X, op=rec.op)
 
 
 def augmented_basis(dec, rec):
@@ -111,7 +131,7 @@ def augmented_basis(dec, rec):
     without a mat-vec. Both pencils, v2's and the harmonic Ritz one, are
     products of this pair.
     """
-    rec = _deflate(dec, rec)
+    rec = _deflate(dec, _current(dec, rec))
     return (np.concatenate([rec.U, dec.Vj], axis=1),
             np.concatenate([rec.C, dec.V @ dec.Hbar], axis=1))
 
@@ -150,7 +170,7 @@ def rfom_v1(dec, rec, fun, rule):
     the one-time products U*U, U*C, V_j*U, V_j*C and U*V_{j+1}.
     """
     j, k = dec.j, rec.k
-    U, C = rec.U, rec.C
+    U, C = rec.U, _current(dec, rec).C
     b = dec.b
     Ij = np.eye(j, dtype=np.complex128)
     e1 = np.zeros(j, dtype=np.complex128)
@@ -279,7 +299,9 @@ def _folded_nodes(fun, rule, dec, rec=None):
     (folded is True). Otherwise all nodes keep mu (folded is False).
     """
     mu = _node_weights(fun, rule)
-    arrays = [dec.V, dec.Hbar] + ([rec.U, rec.C] if rec is not None and rec.k else [])
+    arrays = [dec.V, dec.Hbar]
+    if rec is not None and rec.k:
+        arrays += [rec.U, _current(dec, rec).C]
     partner = rule.conjugate_partner if all(np.isrealobj(a) for a in arrays) else None
     if partner is None \
             or np.max(np.abs(mu[partner] - mu.conj())) > CONJUGATE_RTOL * np.max(np.abs(mu)):

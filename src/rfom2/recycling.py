@@ -36,30 +36,36 @@ def harmonic_ritz_update(dec, rec, op, k):
     rhs g = nu lhs g with nu = 1/theta: the smallest |theta| are the largest
     |nu|, and nu = 0 is an infinite theta. Otherwise, or when `eigh` fails,
     a general `eig` solves the pencil as it stands. The returned U has
-    unit columns, C = A U is one block apply, and numerically dependent
-    selected vectors are dropped (the actual k may shrink).
+    unit columns, and numerically dependent selected vectors are dropped
+    (the actual k may shrink).
+
+    C = A U would be one block apply; the update makes none. U = V_hat g
+    gives A U = (A V_hat) g, and A V_hat is already built, so C takes the
+    same columns and scaling as U and is bound to dec's operator (see
+    `RecycleSubspace`). op is A's operator, used only for the dimension
+    of an empty subspace.
     """
-    op = as_operator(op)
     if k == 0:
-        return RecycleSubspace.empty(op.dim)
+        return RecycleSubspace.empty(as_operator(op).dim)
     Vhat, AVhat = augmented_basis(dec, rec)
     lhs, rhs = _pencil(Vhat, AVhat)
     vectors, ranked = _ranked_pairs(lhs, rhs)
-    U = Vhat @ vectors[:, ranked[:k]]
+    g = vectors[:, ranked[:k]]
+    U, C = Vhat @ g, AVhat @ g
     norms = np.linalg.norm(U, axis=0)
     if np.max(norms) == 0.0:
         raise RankDeficient("harmonic Ritz vectors are numerically zero")
     keep = norms > 1e-14 * np.max(norms)
-    U = U[:, keep] / norms[keep]
+    U, C = U[:, keep] / norms[keep], C[:, keep] / norms[keep]
     sv = svd_values(U)
     if sv[-1] < 1e-12 * sv[0]:
         # drop dependent columns via a rank-revealing QR of the selection
         Q, R = np.linalg.qr(U)
         diag = np.abs(np.diag(R))
         keep = diag > 1e-12 * np.max(diag)
-        U = U[:, keep]
-        U = U / np.linalg.norm(U, axis=0)
-    return RecycleSubspace.from_basis(op, U)
+        norms = np.linalg.norm(U[:, keep], axis=0)
+        U, C = U[:, keep] / norms, C[:, keep] / norms
+    return RecycleSubspace(U=U, C=C, op=dec.op)
 
 
 def _ranked_pairs(lhs, rhs):

@@ -23,24 +23,25 @@ from rfom2.problems import gen_convection_diffusion_2d
 def eig_update(dec, rec, op, k):
     """Reference for `harmonic_ritz_update`: one general eig of the pencil
     for every problem, Hermitian or not, with the same selection and
-    column clean-up."""
+    column clean-up, applied to C = A V_hat g as to U = V_hat g."""
     Vhat, AVhat = augmented_basis(dec, rec)
     AVh = AVhat.conj().T
     values, vectors = scipy.linalg.eig(AVh @ AVhat, AVh @ Vhat, check_finite=False)
     order = np.argsort(np.abs(values))
     finite = [i for i in order if np.isfinite(values[i])]
-    U = Vhat @ vectors[:, finite[:k]]
+    g = vectors[:, finite[:k]]
+    U, C = Vhat @ g, AVhat @ g
     norms = np.linalg.norm(U, axis=0)
     keep = norms > 1e-14 * np.max(norms)
-    U = U[:, keep] / norms[keep]
+    U, C = U[:, keep] / norms[keep], C[:, keep] / norms[keep]
     sv = svd_values(U)
     if sv[-1] < 1e-12 * sv[0]:
         Q, R = np.linalg.qr(U)
         diag = np.abs(np.diag(R))
         keep = diag > 1e-12 * np.max(diag)
-        U = U[:, keep]
-        U = U / np.linalg.norm(U, axis=0)
-    return RecycleSubspace.from_basis(op, U)
+        norms = np.linalg.norm(U[:, keep], axis=0)
+        U, C = U[:, keep] / norms, C[:, keep] / norms
+    return RecycleSubspace(U=U, C=C)
 
 
 class TestSubspaceAngle:
