@@ -2,26 +2,27 @@
 
 `arnoldi_direct` and `arnoldi_quad` are the plain Krylov baselines; the
 three recycled engines consume an additional augmentation subspace U
-with C = A U carried across problems. All engines are pure functions of
-(decomposition, subspace, function, rule), apart from one in-place
-refresh: a subspace whose C was computed for another operator than the
-decomposition's gets C = A U for the decomposition's operator, once, the
-first time any engine reads it (`_current`). Only `rfom_v1`, the
-independent reference, accumulates its quadrature sum node by node, in
-ascending node order. `arnoldi_quad` and `rfom_v2` sum over all nodes at
-once from one decomposition of their pencil z E - F: one `eigh` when the
-pencil is Hermitian-definite, as it is for Hermitian A, and one complex QZ
-otherwise. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature error
-`arnoldi_direct - arnoldi_quad`.
+with C = A U carried across problems, and `arnoldi_quad` is `rfom_v2` on
+an empty one. All engines are pure functions of (decomposition,
+subspace, function, rule), apart from one in-place refresh: a subspace
+whose C was computed for another operator than the decomposition's gets
+C = A U for the decomposition's operator, once, the first time any
+engine reads it (`_current`). Only `rfom_v1`, the independent
+reference, accumulates its quadrature sum node by node, in ascending node
+order. `rfom_v2`, and through it `arnoldi_quad` and `rfom_v3`, sums over
+all nodes at once from one decomposition of its pencil z E - F: one
+`eigh` when the pencil is Hermitian-definite, as it is for Hermitian A,
+and one complex QZ otherwise. `rfom_v3` is `rfom_v2` plus the plain
+Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
 come in conjugate pairs, as on a trapezoid circle with a real centre, the
-solve at conj(z) is the conjugate of the solve at z. `arnoldi_quad`,
-`rfom_v1` and `rfom_v2` then solve one node of each pair with twice its
-weight and return the real part of their sum (the "imag" form of Hale,
-Higham and Trefethen, 2008), so their results are float64 and `rfom_v3`
-shares the fold through them. Complex problems, and rules or functions
-without that symmetry, sum every node.
+solve at conj(z) is the conjugate of the solve at z. `rfom_v1` and
+`rfom_v2` then solve one node of each pair with twice its weight and
+return the real part of their sum (the "imag" form of Hale, Higham and
+Trefethen, 2008), so their results are float64 and `arnoldi_quad` and
+`rfom_v3` share the fold through `rfom_v2`. Complex problems, and rules
+or functions without that symmetry, sum every node.
 """
 
 from dataclasses import dataclass, field
@@ -128,8 +129,8 @@ def augmented_basis(dec, rec):
     against K_j first.
 
     C = A U and the Arnoldi relation A V_j = V_{j+1} Hbar give A V_hat
-    without a mat-vec. Both pencils, v2's and the harmonic Ritz one, are
-    products of this pair.
+    without a mat-vec. The harmonic Ritz update reads this pair; v2's
+    pencil reads the same deflated U and C but forms only V_hat.
     """
     rec = _deflate(dec, _current(dec, rec))
     return (np.concatenate([rec.U, dec.Vj], axis=1),
@@ -155,11 +156,9 @@ def arnoldi_direct(dec, fun):
 
 def arnoldi_quad(dec, fun, rule):
     """Quadrature form of the Arnoldi approximation (the "Arnoldi (q)" baseline),
-    V_j q(H_j) beta e_1, with the node sum over the pencil (I_j, H_j)."""
-    beta_e1 = dec.beta * np.eye(dec.j, 1)[:, 0]  # V_j^* b
-    nodes, mu, folded = _folded_nodes(fun, rule, dec)
-    y = _pencil_node_sum(np.eye(dec.j), dec.H, beta_e1, nodes, mu)
-    return dec.Vj @ (y.real if folded else y)
+    V_j q(H_j) beta e_1: `rfom_v2` on an empty subspace, whose pencil is
+    (I_j, H_j) with right-hand side beta e_1 and balancing s = 1."""
+    return rfom_v2(dec, RecycleSubspace.empty(dec.V.shape[0]), fun, rule)
 
 
 def rfom_v1(dec, rec, fun, rule):
@@ -223,8 +222,6 @@ def _pencil_node_sum(E, F, rhs, nodes, mu):
     1e-12 and E positive definite, goes through one `eigh`; any other
     pencil, and any on which `eigh` fails, through one complex QZ.
     """
-    if E.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
     if is_hermitian(E) and is_hermitian(F):
         try:
             return _eigh_node_sum(E, F, rhs, nodes, mu)
@@ -313,23 +310,22 @@ def _folded_nodes(fun, rule, dec, rec=None):
 
 
 def _v2_pencil(dec, rec):
-    """v2's node matrix V_hat^* (z I - A) V_hat as z E - F, on the pair of
-    `augmented_basis`.
+    """v2's node matrix V_hat^* (z I - A) V_hat as z E - F, V_hat = [U, V_j]
+    with U deflated against K_j.
 
-    E = V_hat^* V_hat and F = V_hat^* A V_hat, with the V_j blocks filled
-    analytically: V_j^* V_j = I and V_j^* V_{j+1} Hbar = H. Returns
-    (V_hat, E, F, V_hat^* b), where V_j^* b = beta e_1.
+    E = V_hat^* V_hat and F = V_hat^* A V_hat, from C = A U and with the
+    V_j blocks filled analytically: V_j^* V_j = I and
+    V_j^* A V_j = V_j^* V_{j+1} Hbar = H. Returns (V_hat, E, F, V_hat^* b),
+    where V_j^* b = beta e_1.
     """
-    Vhat, AVhat = augmented_basis(dec, rec)
-    j = dec.j
-    k = Vhat.shape[1] - j
-    U, C = Vhat[:, :k], AVhat[:, :k]
+    rec = _deflate(dec, _current(dec, rec))
+    U, C, j = rec.U, rec.C, dec.j
     Uh, Vjh = U.conj().T, dec.Vj.conj().T
     UV = Uh @ dec.V
     E = np.block([[Uh @ U, UV[:, :j]], [Vjh @ U, np.eye(j)]])
     F = np.block([[Uh @ C, UV @ dec.Hbar], [Vjh @ C, dec.H]])
     Vhb = np.concatenate([Uh @ dec.b, dec.beta * np.eye(j, 1)[:, 0]])
-    return Vhat, E, F, Vhb
+    return np.concatenate([U, dec.Vj], axis=1), E, F, Vhb
 
 
 def rfom_v2(dec, rec, fun, rule):
@@ -356,7 +352,8 @@ def rfom_v3(dec, rec, fun, rule):
     quadrature. Arnoldi starts from b, so b = V_j beta e_1 has no U
     component: y0 = [0; beta e_1], the U block drops out, and the
     correction is V_j (f(H) - q(H)) beta e_1 = arnoldi_direct - arnoldi_quad,
-    with q(H) the quadrature of f on H. So v3 gains over v2 only in the
-    Krylov part, and it fails only where v2, arnoldi_quad or f(H) fails.
+    with q(H) the quadrature of f on H. So v3 is two v2 node sums, on U
+    and on the empty subspace, and one dense f(H); it gains over v2 only
+    in the Krylov part, and it fails only where v2 or f(H) fails.
     """
     return rfom_v2(dec, rec, fun, rule) + arnoldi_direct(dec, fun) - arnoldi_quad(dec, fun, rule)

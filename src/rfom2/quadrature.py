@@ -131,7 +131,8 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
     geometric-mean radius sqrt(need * avail) balances the inner and
     outer clearance of the annulus of analyticity. The radius then
     exceeds the enclosing minimum by sqrt(avail/need), which is the
-    margin (the explicit margin argument only shapes the fallback).
+    margin (the explicit margin argument only shapes the fallback); a
+    single point (need = 0) gets the radius avail / 2.
     Raises NoSeparatingContour when no such circle exists.
     """
     contour = suggest_contour(spectrum_estimates, margin)
@@ -150,5 +151,5 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
         raise NoSeparatingContour(
             "cannot separate the singularity from the spectrum estimates with a circle"
         )
-    radius = float(np.sqrt(need * avail))
+    radius = float(np.sqrt(need * avail)) if need > 0.0 else 0.5 * avail
     return CircleContour(center=center, radius=radius)

@@ -153,6 +153,19 @@ class TestRunExperiment:
         e_rec = report.select(engine="v2", problem_index=4)[0]["rel_error"]
         assert e_rec < e_plain
 
+    def test_single_ritz_value_inside_the_plain_circle(self, tmp_path):
+        # j = 1 gives one Ritz value, and its plain circle holds inverse's
+        # singularity at 0: the guarded contour must still separate them
+        cfg = ExperimentConfig(problem="graded_hermitian", n=50, small_count=5,
+                               small_min=0.01, small_max=0.02, bulk_min=0.03,
+                               bulk_max=0.05, function="inverse", j=1, k=2,
+                               n_quad=200, n_problems=3,
+                               engines="arnoldi,arnoldi_q,v1,v2,v3",
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        assert len(report.rows) == 15
+        assert {r["status"] for r in report.rows} == {"ok"}
+
     def test_csv_determinism(self, tmp_path):
         def run(name):
             cfg = ExperimentConfig(problem="laplacian2d", m=6, function="inverse",

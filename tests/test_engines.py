@@ -129,6 +129,16 @@ def loop_arnoldi_quad(dec, fun, rule):
     return dec.Vj @ acc
 
 
+def pencil_arnoldi_quad(dec, fun, rule):
+    """Reference for `arnoldi_quad` as an engine of its own: the node sum
+    over the pencil (I_j, H_j) with right-hand side beta e_1, folded where
+    the problem allows, back-projected by V_j."""
+    beta_e1 = dec.beta * np.eye(dec.j, 1)[:, 0]
+    nodes, mu, folded = _folded_nodes(fun, rule, dec)
+    y = _pencil_node_sum(np.eye(dec.j), dec.H, beta_e1, nodes, mu)
+    return dec.Vj @ (y.real if folded else y)
+
+
 def v2_plus_krylov_error(dec, rec, fun, rule):
     """v3's identity: v2 plus the plain Krylov quadrature error, with the
     quadrature summed by the per-node loop rather than by `arnoldi_quad`."""
@@ -245,6 +255,45 @@ class TestReductions:
         for i in range(4):
             for l in range(i + 1, 4):
                 assert relerr(outs[i], outs[l]) <= 1e-12
+
+
+class TestQuadIsV2OnEmptySubspace:
+    """arnoldi_quad is rfom_v2 on an empty subspace, bit for bit equal to
+    the node sum over its own pencil (I_j, H_j)."""
+
+    @staticmethod
+    def problem(kind):
+        rng = np.random.default_rng(23)
+        if kind == "real hermitian":  # eigh kernel, folded
+            A, b, _, _ = spd_problem(seed=23)
+        else:  # QZ kernel; the real problem folds, the complex one does not
+            A = gen_convection_diffusion_2d(8, convection=1.0)
+            if kind == "complex":
+                A = A + 1j * np.diag(rng.uniform(size=64))
+            b = rng.standard_normal(A.shape[0])
+        return arnoldi(A, b, 12)
+
+    @pytest.mark.parametrize("stieltjes", [False, True], ids=["circle", "stieltjes"])
+    @pytest.mark.parametrize("kind", ["real hermitian", "real convdiff", "complex"])
+    def test_bit_for_bit(self, kind, stieltjes):
+        dec = self.problem(kind)
+        if stieltjes:
+            fun, rule = function_catalog("invsqrt"), stieltjes_invsqrt(30)
+        else:
+            fun = function_catalog("log")
+            rule = trapezoid_contour(
+                guarded_contour(np.linalg.eigvals(dec.H), 0.1, fun.singularity), 200)
+        assert _folded_nodes(fun, rule, dec)[2] == (kind != "complex")
+        assert np.array_equal(arnoldi_quad(dec, fun, rule),
+                              pencil_arnoldi_quad(dec, fun, rule))
+
+    def test_v2_pencil_of_empty_subspace(self):
+        dec = self.problem("complex")
+        Vhat, E, F, Vhb = _v2_pencil(dec, RecycleSubspace.empty(64))
+        assert np.array_equal(Vhat, dec.Vj)
+        assert np.array_equal(E, np.eye(dec.j))
+        assert np.array_equal(F, dec.H)
+        assert np.array_equal(Vhb, dec.beta * np.eye(dec.j, 1)[:, 0])
 
 
 class TestRecycledEngines:

@@ -109,6 +109,12 @@ class TestContourSuggestion:
         assert np.all(np.abs(est - c.center) < c.radius)
         assert abs(0.0 - c.center) > c.radius
 
+    def test_guarded_single_point(self):
+        # one estimate whose plain circle holds the singularity: the guarded
+        # circle still has a positive radius that separates the two
+        c = guarded_contour([0.015], 0.1, singularity=0.0)
+        assert abs(0.015 - c.center) < c.radius < abs(0.0 - c.center)
+
     def test_guarded_no_singularity_falls_back(self):
         est = [1.0, 3.0]
         assert guarded_contour(est, 0.1, singularity=None) == suggest_contour(est, 0.1)
