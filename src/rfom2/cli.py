@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .arnoldi import arnoldi, as_operator
@@ -380,19 +381,25 @@ def _run_engines(cfg, engine_names, dec, rec, fun, report, row):
     return outputs
 
 
+def _norm(x):
+    return float(scipy.linalg.norm(x, check_finite=False))
+
+
 def _add_ok_rows(report, outputs, reference, row, angle=""):
     """One ok row per engine output.
 
     rel_error is measured against the reference, or against the first
-    engine that ran when there is no oracle reference.
+    engine that ran when there is no oracle reference. The norms are
+    BLAS nrm2's, which scales as it sums: np.linalg.norm's sqrt(x.x)
+    overflows once entries pass about 1e154.
     """
     if reference is None and outputs:
         reference = next(iter(outputs.values()))[0]
-    refnorm = float(np.linalg.norm(reference)) if reference is not None else 0.0
+    refnorm = _norm(reference) if reference is not None else 0.0
     for name, (x, wall) in outputs.items():
-        rel = float(np.linalg.norm(x - reference) / refnorm) if refnorm > 0 else ""
-        xnorm = float(np.linalg.norm(x))
-        imag = float(np.linalg.norm(x.imag) / xnorm) if xnorm > 0 else 0.0
+        rel = _norm(x - reference) / refnorm if refnorm > 0 else ""
+        xnorm = _norm(x)
+        imag = _norm(x.imag) / xnorm if xnorm > 0 else 0.0
         report.add(engine=name, rel_error=rel, imag_residue=imag,
                    subspace_angle=angle, wall_ms=wall, status="ok", **row)
 

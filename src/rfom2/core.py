@@ -74,7 +74,8 @@ class NoSeparatingContour(RFOMError, ValueError):
 def lu_solve(M, B):
     """Solve M X = B for square M via LU with partial pivoting.
 
-    Raises SingularMatrix when a pivot falls below 1e-14 * max|M|.
+    Raises SingularMatrix when a pivot falls below 1e-14 * max|M|. The
+    result is scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), B) bit for bit.
     """
     M = np.asarray_chkfinite(M)
     B = np.asarray_chkfinite(B)
@@ -82,25 +83,26 @@ def lu_solve(M, B):
         raise ValueError("M must be square")
     if B.shape[0] != M.shape[0]:
         raise ValueError("dimension mismatch between M and B")
+    return gesv_solve(M, B)
+
+
+def gesv_solve(M, B):
+    """`lu_solve` without its finiteness and shape checks, in one LAPACK
+    gesv (getrf, then getrs); an exactly zero pivot raises with no warning.
+    """
     if M.shape[0] == 0:
         return B.copy()
-    return scipy.linalg.lu_solve(lu_factor(M), B, check_finite=False)
-
-
-def lu_factor(M):
-    """(lu, piv) of a nonempty square M, LU with partial pivoting, for
-    scipy.linalg.lu_solve.
-
-    Raises SingularMatrix when a pivot falls below 1e-14 * max|M|. LAPACK's
-    getrf is called directly: scipy.linalg.lu_factor would first warn on
-    an exactly zero pivot.
-    """
-    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (M,))
-    lu, piv, _ = getrf(M)
-    scale = np.max(np.abs(M))
-    if scale == 0.0 or np.min(np.abs(np.diag(lu))) < 1e-14 * scale:
+    if np.isrealobj(M) and np.iscomplexobj(B):
+        # a real getrf and a complex getrs, as scipy does: zgesv would round
+        # the factors of the complex cast differently
+        lu, piv, _ = scipy.linalg.get_lapack_funcs(("getrf",), (M,))[0](M)
+        X = None
+    else:
+        lu, piv, X, _ = scipy.linalg.get_lapack_funcs(("gesv",), (M, B))[0](M, B)
+    scale = np.abs(M).max()
+    if scale == 0.0 or np.abs(lu.diagonal()).min() < 1e-14 * scale:
         raise SingularMatrix("pivot below 1e-14 * max|M|")
-    return lu, piv
+    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False) if X is None else X
 
 
 def qr_orthonormalize(M):

@@ -37,8 +37,8 @@ from .core import (
     SingularProjector,
     SingularShift,
     SingularSystem,
+    gesv_solve,
     is_hermitian,
-    lu_factor,
     lu_solve,
     svd_values,
 )
@@ -164,54 +164,43 @@ def arnoldi_quad(dec, fun, rule):
 def rfom_v1(dec, rec, fun, rule):
     """Split-correction recycled approximation (Krylov and U parts separate).
 
-    Per node solves the projected j x j system for the Krylov
-    coefficients and back-substitutes the subspace coefficients through
-    the one-time products U*U, U*C, V_j*U, V_j*C and U*V_{j+1}.
+    Per node it makes two LU solves, one LAPACK gesv each. The k x k
+    projector z U*U - U*C solves its two right-hand sides as one block,
+    z [M_j, 0] - [M Hbar, -U*b] = [z M_j - M Hbar, U*b] with M = U*V_{j+1},
+    giving L = [L_M, L_b]. The projected j x j system
+    (z I - H - K L_M) y = beta e_1 - K L_b, K = z V_j*U - V_j*C, gives the
+    Krylov coefficients y, and L_b - L_M y the subspace coefficients. All
+    products with U, C and V are formed once. At k = 0 the projector is
+    empty and the j x j system is z I - H.
     """
     j, k = dec.j, rec.k
     U, C = rec.U, _current(dec, rec).C
-    b = dec.b
-    Ij = np.eye(j, dtype=np.complex128)
-    e1 = np.zeros(j, dtype=np.complex128)
-    e1[0] = 1.0
-
-    UU = U.conj().T @ U
-    UC = U.conj().T @ C
-    VjU = dec.Vj.conj().T @ U
-    VjC = dec.Vj.conj().T @ C
-    M = U.conj().T @ dec.V
-    MH = M @ dec.Hbar
-    Ub = U.conj().T @ b
-    Vjb = dec.beta * e1  # V_j^* b exactly, since v_1 = b/||b||
+    Uh, Vjh = U.conj().T, dec.Vj.conj().T
+    M = Uh @ dec.V
+    P1 = np.concatenate([Uh @ U, M[:, :j], np.zeros((k, 1))], axis=1)
+    P0 = np.concatenate([Uh @ C, M @ dec.Hbar, -(Uh @ dec.b)[:, None]], axis=1)
+    Q1 = np.concatenate([np.eye(j, dtype=np.complex128), Vjh @ U], axis=1)
+    Q0 = np.concatenate([dec.H, Vjh @ C], axis=1)
+    Vjb = dec.beta * Q1[:, 0]  # V_j^* b exactly, since v_1 = b/||b||
 
     t1 = np.zeros(j, dtype=np.complex128)
     t2 = np.zeros(k, dtype=np.complex128)
     nodes, weights, folded = _folded_nodes(fun, rule, dec, rec)
     for z, mu in zip(nodes, weights):
-        if k:
-            Mbar = z * M[:, :j] - MH
-            try:
-                F = lu_factor(z * UU - UC)
-            except SingularMatrix as exc:
-                raise SingularProjector(f"projector block singular at node {z}") from exc
-            K = z * VjU - VjC
-            LM = scipy.linalg.lu_solve(F, Mbar, check_finite=False)
-            Lub = scipy.linalg.lu_solve(F, Ub, check_finite=False)
-            coeff = z * Ij - dec.H - K @ LM
-            rhs = Vjb - K @ Lub
-        else:
-            coeff = z * Ij - dec.H
-            rhs = Vjb
+        P = z * P1 - P0  # [z U*U - U*C, z M_j - M Hbar, U*b]
         try:
-            y = lu_solve(coeff, rhs)
+            L = gesv_solve(P[:, :k], P[:, k:])
+        except SingularMatrix as exc:
+            raise SingularProjector(f"projector block singular at node {z}") from exc
+        Q = z * Q1 - Q0  # [z I - H, K]
+        K = Q[:, j:]
+        try:
+            y = lu_solve(Q[:, :j] - K @ L[:, :j], Vjb - K @ L[:, j])
         except SingularMatrix as exc:
             raise SingularShift(f"inner system singular at node {z}") from exc
         t1 += mu * y
-        if k:
-            t2 += mu * (Lub - LM @ y)
-    out = dec.Vj @ t1
-    if k:
-        out = out + U @ t2
+        t2 += mu * (L[:, j] - L[:, :j] @ y)
+    out = dec.Vj @ t1 + U @ t2
     return out.real if folded else out
 
 

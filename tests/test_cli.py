@@ -166,6 +166,22 @@ class TestRunExperiment:
         assert len(report.rows) == 15
         assert {r["status"] for r in report.rows} == {"ok"}
 
+    def test_huge_results_keep_finite_errors(self, tmp_path):
+        # exp on a spectrum reaching 298 makes the quadrature engines'
+        # results so large that sqrt(x.x) overflows; every ok row must
+        # still read a finite rel_error, with no overflow warning
+        cfg = ExperimentConfig(problem="graded_hermitian", n=21, small_count=13,
+                               small_min=-4.76, small_max=-0.98, bulk_min=55.6,
+                               bulk_max=298.0, function="exp", quad_kind="contour",
+                               n_quad=17, contour_margin=1.0, j=7, k=2, seed=276793,
+                               n_problems=3, track_angle=True,
+                               engines="arnoldi,arnoldi_q,v1,v2,v3",
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        assert len(report.rows) == 15
+        assert {r["status"] for r in report.rows} == {"ok"}
+        assert all(np.isfinite(r["rel_error"]) for r in report.rows)
+
     def test_csv_determinism(self, tmp_path):
         def run(name):
             cfg = ExperimentConfig(problem="laplacian2d", m=6, function="inverse",

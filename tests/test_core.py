@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfom2 import (
     NoConvergence,
@@ -50,6 +53,25 @@ class TestLuSolve:
         # would be raised in its place
         with pytest.raises(SingularMatrix):
             lu_solve(np.zeros((3, 3)), np.ones(3))
+
+    @pytest.mark.one_blas_thread
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 24), complex_m=st.booleans(), complex_b=st.booleans(),
+           n_rhs=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_lu_factor_and_solve(self, n, complex_m, complex_b, n_rhs, seed):
+        # one gesv call gives scipy's getrf-then-getrs result bit for bit,
+        # for a vector B (n_rhs = 0) and a block B, in every dtype pairing
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        B = rng.standard_normal((n, n_rhs) if n_rhs else n)
+        if complex_m:
+            M = M + 1j * rng.standard_normal((n, n))
+        if complex_b:
+            B = B + 1j * rng.standard_normal(B.shape)
+        X = lu_solve(M, B)
+        ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), B)
+        assert X.shape == ref.shape and X.dtype == ref.dtype
+        assert np.array_equal(X, ref)
 
 
 class TestQr:

@@ -1,9 +1,11 @@
 """The five f(A)b engines and their reduction/equivalence identities."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +110,59 @@ def smw_v3(dec, rec, fun, rule):
         s = lu_solve(I + B @ Gzinv, B @ (Gzinv @ Vhb))
         t += w * factor(z) * (Gzinv @ s)
     return closed - Vhat @ t
+
+
+def loop_rfom_v1(dec, rec, fun, rule):
+    """Reference for `rfom_v1`: its per-node loop with the projector
+    factored by getrf and solved by two scipy.linalg.lu_solve calls, one
+    per right-hand side, then the j x j system by `lu_solve`."""
+    j, k = dec.j, rec.k
+    U, C = rec.U, rec.C
+    b = dec.b
+    Ij = np.eye(j, dtype=np.complex128)
+    e1 = np.zeros(j, dtype=np.complex128)
+    e1[0] = 1.0
+
+    UU = U.conj().T @ U
+    UC = U.conj().T @ C
+    VjU = dec.Vj.conj().T @ U
+    VjC = dec.Vj.conj().T @ C
+    M = U.conj().T @ dec.V
+    MH = M @ dec.Hbar
+    Ub = U.conj().T @ b
+    Vjb = dec.beta * e1
+
+    t1 = np.zeros(j, dtype=np.complex128)
+    t2 = np.zeros(k, dtype=np.complex128)
+    nodes, weights, folded = _folded_nodes(fun, rule, dec, rec)
+    for z, mu in zip(nodes, weights):
+        if k:
+            Mbar = z * M[:, :j] - MH
+            P = z * UU - UC
+            getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (P,))
+            lu, piv, _ = getrf(P)
+            scale = np.max(np.abs(P))
+            if scale == 0.0 or np.min(np.abs(np.diag(lu))) < 1e-14 * scale:
+                raise SingularProjector(f"projector block singular at node {z}")
+            K = z * VjU - VjC
+            LM = scipy.linalg.lu_solve((lu, piv), Mbar, check_finite=False)
+            Lub = scipy.linalg.lu_solve((lu, piv), Ub, check_finite=False)
+            coeff = z * Ij - dec.H - K @ LM
+            rhs = Vjb - K @ Lub
+        else:
+            coeff = z * Ij - dec.H
+            rhs = Vjb
+        try:
+            y = lu_solve(coeff, rhs)
+        except SingularMatrix as exc:
+            raise SingularShift(f"inner system singular at node {z}") from exc
+        t1 += mu * y
+        if k:
+            t2 += mu * (Lub - LM @ y)
+    out = dec.Vj @ t1
+    if k:
+        out = out + U @ t2
+    return out.real if folded else out
 
 
 def loop_arnoldi_quad(dec, fun, rule):
@@ -294,6 +349,46 @@ class TestQuadIsV2OnEmptySubspace:
         assert np.array_equal(E, np.eye(dec.j))
         assert np.array_equal(F, dec.H)
         assert np.array_equal(Vhb, dec.beta * np.eye(dec.j, 1)[:, 0])
+
+
+class TestV1IsTheLuLoop:
+    """rfom_v1, one gesv per node system, is bit for bit the loop that
+    factors its projector by getrf and solves each right-hand side apart,
+    on real Hermitian (folded), real convection-diffusion (complex
+    harmonic Ritz U, unfolded at k > 0) and complex problems, at k = 0 and
+    k > 0, under a circle and a Stieltjes rule."""
+
+    @staticmethod
+    def problem(kind, k):
+        rng = np.random.default_rng(31)
+        if kind == "real hermitian":  # real U: folded
+            A, b, _, _ = spd_problem(seed=31)
+            return arnoldi(A, b, 12), RecycleSubspace.from_basis(A, rng.standard_normal((50, k)))
+        A = gen_convection_diffusion_2d(8, convection=1.0)
+        if kind == "complex":
+            A = A + 1j * np.diag(rng.uniform(size=64))
+        dec = arnoldi(A, rng.standard_normal(64), 12)
+        # harmonic Ritz vectors, complex on both matrices: nothing folds at k > 0
+        rec = harmonic_ritz_update(dec, RecycleSubspace.empty(64), A, k)
+        assert rec.k == k and (k == 0 or np.iscomplexobj(rec.U))
+        return arnoldi(A, rng.standard_normal(64), 12), rec
+
+    @pytest.mark.one_blas_thread
+    def test_bit_for_bit(self):
+        for kind, k, stieltjes in itertools.product(
+                ["real hermitian", "real convdiff", "complex"], [0, 4], [False, True]):
+            case = f"{kind}, k = {k}, {'stieltjes' if stieltjes else 'circle'}"
+            dec, rec = self.problem(kind, k)
+            if stieltjes:
+                fun, rule = function_catalog("invsqrt"), stieltjes_invsqrt(30)
+            else:
+                fun = function_catalog("log")
+                rule = trapezoid_contour(
+                    guarded_contour(np.linalg.eigvals(dec.H), 0.1, fun.singularity), 200)
+            folds = kind == "real hermitian" or (kind == "real convdiff" and k == 0)
+            assert _folded_nodes(fun, rule, dec, rec)[2] == folds, case
+            x, ref = rfom_v1(dec, rec, fun, rule), loop_rfom_v1(dec, rec, fun, rule)
+            assert x.dtype == ref.dtype and np.array_equal(x, ref), case
 
 
 class TestRecycledEngines:
@@ -570,6 +665,19 @@ class TestPencilKernel:
         with pytest.raises(SingularSystem):
             engine(dec, RecycleSubspace.empty(40), function_catalog("inverse"),
                    self.node_on_ritz_value)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_v1_node_on_ritz_value(self, k):
+        # U in the second invariant block, or empty: the j x j system is
+        # exactly z I - H, singular at the node 2.0, while the projector
+        # U*(z I - A)U is definite there; v1 raises only its own error
+        A, dec = self.tridiag_problem()
+        rng = np.random.default_rng(15)
+        U = np.zeros((40, k))
+        U[20:] = rng.standard_normal((20, k))
+        with pytest.raises(SingularShift):
+            rfom_v1(dec, RecycleSubspace.from_basis(A, U), function_catalog("inverse"),
+                    self.node_on_ritz_value)
 
     def test_v2_node_on_ritz_value_k4(self):
         # U in the second invariant block: V_j is orthogonal to U and C, so
