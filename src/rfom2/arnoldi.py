@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .core import SingularMatrix, SingularShift, ZeroRhs, lu_solve
@@ -78,7 +79,9 @@ def arnoldi(op, b, j, reorth=True):
     With reorth on, the classical pass is applied twice per new vector
     (CGS2, "twice is enough"). Breakdown truncates the decomposition. V
     and Hbar take the dtype of b and of the first product A v_1, so a
-    real operator and a real b give a real decomposition.
+    real operator and a real b give a real decomposition. The norms are
+    BLAS nrm2's, which scales as it sums, so A and b may have entries past
+    1e154, where sqrt(x.x) overflows.
     """
     op = as_operator(op)
     b = np.asarray(b).reshape(-1)
@@ -86,7 +89,7 @@ def arnoldi(op, b, j, reorth=True):
         raise ValueError("rhs length does not match operator dimension")
     if not (1 <= j < op.dim):
         raise ValueError("need 1 <= j < operator dimension")
-    beta = np.linalg.norm(b)
+    beta = scipy.linalg.norm(b, check_finite=False)
     if beta == 0.0:
         raise ZeroRhs("right-hand side is the zero vector")
 
@@ -106,7 +109,7 @@ def arnoldi(op, b, j, reorth=True):
             w = w - V[:, : ell + 1] @ h2
             h = h + h2
         Hbar[: ell + 1, ell] = h
-        hnext = np.linalg.norm(w)
+        hnext = scipy.linalg.norm(w, check_finite=False)
         if hnext < BREAKDOWN_TOL * max(np.max(np.abs(Hbar)), 1e-300):
             jt = ell + 1
             return ArnoldiDecomposition(

@@ -2,9 +2,10 @@
 
 Reads a flat key = value config, runs a problem sequence through the
 selected engines, tracks errors and subspace angles, and writes a CSV
-report. Engine, contour, oracle and recycle failures become failure rows
-instead of aborting the sequence, so events like an eigenvalue drifting
-onto a function's singularity remain observable in the output.
+report. A failure of the oracle, the recycle update, a rule or an engine
+becomes a failure row instead of aborting the sequence, so events like
+an eigenvalue drifting onto a function's singularity remain observable
+in the output.
 """
 
 import argparse
@@ -12,18 +13,19 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
 from .arnoldi import arnoldi, as_operator
-from .core import NoSeparatingContour, ParseError, RFOMError, UnknownFunction
+from .core import ParseError, RFOMError, UnknownFunction
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
     rfom_v2, rfom_v3
 from .problems import (
     ORACLE_GENERAL_MAX_N,
+    ORACLE_MAX_N,
     ProblemSequence,
     function_catalog,
     gen_convection_diffusion_2d,
@@ -78,7 +80,6 @@ class ExperimentConfig:
     hermitian: bool = False
     track_angle: bool = False
     oracle: bool = True
-    oracle_max_n: int = 3200
     output: str = "report.csv"
 
     def engine_list(self):
@@ -268,9 +269,9 @@ def _base_matrix(cfg):
     raise ValueError(f"unknown problem kind {cfg.problem!r}")
 
 
-def _make_rule(cfg, dec, fun):
+def _make_rule(cfg, n_quad, dec, fun):
     if cfg.quad_kind == "stieltjes":
-        return stieltjes_invsqrt(cfg.n_quad)
+        return stieltjes_invsqrt(n_quad)
     if cfg.contour_center != "auto":  # _check_values: then the radius is set too
         contour = CircleContour(complex(cfg.contour_center),
                                 float(cfg.contour_radius))
@@ -280,7 +281,7 @@ def _make_rule(cfg, dec, fun):
         estimates = np.linalg.eigvals(dec.H)
         contour = guarded_contour(estimates, cfg.contour_margin,
                                   singularity=fun.singularity)
-    return trapezoid_contour(contour, cfg.n_quad)
+    return trapezoid_contour(contour, n_quad)
 
 
 class _OracleCache:
@@ -327,7 +328,7 @@ def _setup(cfg, length, eps):
     seq = ProblemSequence(base=base, length=length, eps=eps,
                           rhs_policy=cfg.rhs_policy, seed=cfg.seed,
                           hermitian=hermitian)
-    oracle = cfg.oracle and n <= cfg.oracle_max_n \
+    oracle = cfg.oracle and n <= ORACLE_MAX_N \
         and (hermitian or n <= ORACLE_GENERAL_MAX_N)
     return engine_names, fun, seq, _OracleCache(hermitian) if oracle else None
 
@@ -336,120 +337,102 @@ def _status(exc):
     return f"error:{type(exc).__name__}"
 
 
-def _oracle_step(cache, fun, A, b, report, row):
-    """(eig, reference) of one problem; (None, None) without an oracle.
-
-    A failing oracle leaves reference None and becomes an `oracle` error
-    row. On the Hermitian path that row's imag_residue holds the smallest
-    eigenvalue, which shows how far the spectrum crossed the singularity.
-    """
-    if cache is None:
-        return None, None
-    eig = None
-    try:
-        eig = cache.eig_for(A)
-        return eig, oracle_apply(fun, eig, b, hermitian=cache.hermitian)
-    except RFOMError as exc:
-        diag = float(eig[0][0]) if eig is not None and cache.hermitian else ""
-        report.add(engine="oracle", imag_residue=diag, status=_status(exc), **row)
-        return eig, None
-
-
-def _run_engines(cfg, engine_names, dec, rec, fun, report, row):
-    """Build the quadrature rule and call every engine on it.
-
-    Returns {engine: (x, wall_ms)} for the engines that succeeded. An
-    engine failure becomes an error row; a contour that cannot be drawn
-    becomes one error row per engine.
-    """
-    try:
-        rule = _make_rule(cfg, dec, fun)
-    except NoSeparatingContour as exc:
-        for name in engine_names:
-            report.add(engine=name, status=_status(exc), **row)
-        return {}
-    outputs = {}
-    for name in engine_names:
-        start = time.perf_counter()
-        try:
-            x = ENGINES[name](dec, rec, fun, rule)
-        except RFOMError as exc:
-            wall = 1000.0 * (time.perf_counter() - start)
-            report.add(engine=name, wall_ms=wall, status=_status(exc), **row)
-            continue
-        outputs[name] = (x, 1000.0 * (time.perf_counter() - start))
-    return outputs
-
-
 def _norm(x):
+    """BLAS nrm2, which scales as it sums: np.linalg.norm's sqrt(x.x)
+    overflows once entries pass about 1e154."""
     return float(scipy.linalg.norm(x, check_finite=False))
 
 
-def _add_ok_rows(report, outputs, reference, row, angle=""):
-    """One ok row per engine output.
+# The failures a stage of a problem may raise: the package's own, and
+# numpy's and scipy's, whose LinAlgError is a ValueError.
+_FAILURES = (RFOMError, ValueError)
 
-    rel_error is measured against the reference, or against the first
-    engine that ran when there is no oracle reference. The norms are
-    BLAS nrm2's, which scales as it sums: np.linalg.norm's sqrt(x.x)
-    overflows once entries pass about 1e154.
+
+def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
+                   n_list, update):
+    """Add the rows of problem `index`; return the subspace for the next one.
+
+    The stages: Arnoldi; the oracle; with update and k > 0, the harmonic
+    Ritz update and, with track_angle on a Hermitian matrix, its angle to
+    the oracle's first eigenvectors; then for each node count in n_list
+    the rule, every engine on rec, and one ok row per engine that ran, its
+    rel_error against the oracle's f(A)b or else the first engine's result.
+
+    A stage that raises one of _FAILURES becomes an error row:
+    - the oracle: an `oracle` row; on the Hermitian path its imag_residue
+      holds the smallest eigenvalue, which shows how far the spectrum
+      crossed the singularity;
+    - the update or the angle: a `recycle` row. A failed update leaves the
+      next problem an empty subspace; a failed angle leaves it blank;
+    - the rule: one row per engine at that node count;
+    - an engine: its own row.
     """
-    if reference is None and outputs:
-        reference = next(iter(outputs.values()))[0]
-    refnorm = _norm(reference) if reference is not None else 0.0
-    for name, (x, wall) in outputs.items():
-        rel = _norm(x - reference) / refnorm if refnorm > 0 else ""
-        xnorm = _norm(x)
-        imag = _norm(x.imag) / xnorm if xnorm > 0 else 0.0
-        report.add(engine=name, rel_error=rel, imag_residue=imag,
-                   subspace_angle=angle, wall_ms=wall, status="ok", **row)
-
-
-def _recycle_step(dec, rec, op, k, Z, report, row):
-    """(subspace for the next problem, its angle to Z's first columns).
-
-    A failure becomes one `recycle` error row: a failed update leaves the
-    next problem an empty subspace, a failed angle leaves the angle blank.
-    The angle is blank too without Z or with an empty subspace.
-    """
-    try:
-        rec = harmonic_ritz_update(dec, rec, op, k)
-    except RFOMError as exc:
-        report.add(engine="recycle", status=_status(exc), **row)
-        return RecycleSubspace.empty(op.dim), ""
-    if Z is None or not rec.k:
-        return rec, ""
-    try:
-        return rec, subspace_angle(rec.U, Z[:, : rec.k])
-    except RFOMError as exc:
-        report.add(engine="recycle", status=_status(exc), **row)
-        return rec, ""
+    row = dict(problem_index=index, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
+    dec = arnoldi(op, b, cfg.j, reorth=True)
+    eig = reference = None
+    if cache is not None:
+        try:
+            eig = cache.eig_for(A)
+            reference = oracle_apply(fun, eig, b, hermitian=cache.hermitian)
+        except _FAILURES as exc:
+            diag = float(eig[0][0]) if eig is not None and cache.hermitian else ""
+            report.add(engine="oracle", imag_residue=diag, status=_status(exc), **row)
+    angle, new = "", rec
+    if update and cfg.k > 0:
+        new = RecycleSubspace.empty(op.dim)
+        try:
+            new = harmonic_ritz_update(dec, rec, op, cfg.k)
+            if cfg.track_angle and eig is not None and cache.hermitian and new.k:
+                angle = subspace_angle(new.U, eig[1][:, : new.k])
+        except _FAILURES as exc:
+            report.add(engine="recycle", status=_status(exc), **row)
+    for n_quad in n_list:
+        row = dict(row, n_quad=n_quad)
+        try:
+            rule = _make_rule(cfg, n_quad, dec, fun)
+        except _FAILURES as exc:
+            for name in engine_names:
+                report.add(engine=name, status=_status(exc), **row)
+            continue
+        outputs = {}
+        for name in engine_names:
+            start = time.perf_counter()
+            try:
+                x = ENGINES[name](dec, rec, fun, rule)
+            except _FAILURES as exc:
+                wall = 1000.0 * (time.perf_counter() - start)
+                report.add(engine=name, wall_ms=wall, status=_status(exc), **row)
+                continue
+            outputs[name] = (x, 1000.0 * (time.perf_counter() - start))
+        ref = reference
+        if ref is None and outputs:
+            ref = next(iter(outputs.values()))[0]
+        refnorm = _norm(ref) if ref is not None else 0.0
+        for name, (x, wall) in outputs.items():
+            rel = _norm(x - ref) / refnorm if refnorm > 0 else ""
+            xnorm = _norm(x)
+            imag = _norm(x.imag) / xnorm if xnorm > 0 else 0.0
+            report.add(engine=name, rel_error=rel, imag_residue=imag,
+                       subspace_angle=angle, wall_ms=wall, status="ok", **row)
+    return new
 
 
 def run_experiment(cfg):
-    """Run a sequence of f(A^(i)) b^(i) problems through selected engines."""
+    """Run a sequence of f(A^(i)) b^(i) problems through selected engines.
+
+    One operator wraps each matrix, so a fixed matrix keeps the update's
+    C = A U as it stands, and on a new matrix the first engine or update
+    that reads C recomputes it once (engines._current).
+    """
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
     rec = RecycleSubspace.empty(seq.base.shape[0])
-    previous = None
+    matrix = op = None
     for i, (A, b) in enumerate(gen_perturbation_sequence(seq), start=1):
-        if A is not previous:
-            # one operator per matrix: the update's C = A U is bound to it,
-            # so a fixed matrix needs no block apply; a new matrix needs one
-            op = as_operator(A)
-            if rec.k:
-                rec = RecycleSubspace.from_basis(op, rec.U)
-            previous = A
-        dec = arnoldi(op, b, cfg.j, reorth=True)
-        row = dict(problem_index=i, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
-        eig, reference = _oracle_step(cache, fun, A, b, report, row)
-        outputs = _run_engines(cfg, engine_names, dec, rec, fun, report, row)
-        angle = ""
-        if cfg.k > 0:
-            track = cfg.track_angle and seq.hermitian and eig is not None
-            rec, angle = _recycle_step(dec, rec, op, cfg.k,
-                                       eig[1] if track else None, report, row)
-        _add_ok_rows(report, outputs, reference, row, angle)
-        del eig  # else the cache cannot free it before the next decomposition
+        if A is not matrix:
+            matrix, op = A, as_operator(A)
+        rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
+                             rec, [cfg.n_quad], update=True)
     report.write_csv()
     return report
 
@@ -468,21 +451,15 @@ def sweep_quadrature(cfg, n_list):
         _check_n_quad(cfg.quad_kind, nq, "--nquad")
     A, b = next(gen_perturbation_sequence(seq))
     op = as_operator(A)
-    dec = arnoldi(op, b, cfg.j, reorth=True)
     report = RunReport(path=cfg.output)
     rec = RecycleSubspace.empty(A.shape[0])
     if cfg.k > 0 and cache is not None and cache.hermitian:
         try:
             rec = RecycleSubspace.from_basis(op, cache.eig_for(A)[1][:, : cfg.k])
-        except RFOMError:
-            pass  # _oracle_step below reports the failure
-    row = dict(problem_index=1, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
-    _, reference = _oracle_step(cache, fun, A, b, report, row)
-    for nq in n_list:
-        sub = replace(cfg, n_quad=int(nq))
-        row = dict(row, n_quad=sub.n_quad)
-        outputs = _run_engines(sub, engine_names, dec, rec, fun, report, row)
-        _add_ok_rows(report, outputs, reference, row)
+        except _FAILURES:
+            pass  # _solve_problem reports the oracle's failure
+    _solve_problem(cfg, engine_names, fun, cache, report, 1, A, op, b, rec,
+                   [int(nq) for nq in n_list], update=False)
     report.write_csv()
     return report
 

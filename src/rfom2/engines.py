@@ -7,13 +7,14 @@ an empty one. All engines are pure functions of (decomposition,
 subspace, function, rule), apart from one in-place refresh: a subspace
 whose C was computed for another operator than the decomposition's gets
 C = A U for the decomposition's operator, once, the first time any
-engine reads it (`_current`). Only `rfom_v1`, the independent
-reference, accumulates its quadrature sum node by node, in ascending node
-order. `rfom_v2`, and through it `arnoldi_quad` and `rfom_v3`, sums over
-all nodes at once from one decomposition of its pencil z E - F: one
-`eigh` when the pencil is Hermitian-definite, as it is for Hermitian A,
-and one complex QZ otherwise. `rfom_v3` is `rfom_v2` plus the plain
-Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
+engine or the harmonic Ritz update reads it (`_current`); `rfom2 run`
+relies on this for its one refresh per changed matrix. Only `rfom_v1`,
+the independent reference, accumulates its quadrature sum node by node,
+in ascending node order. `rfom_v2`, and through it `arnoldi_quad` and
+`rfom_v3`, sums over all nodes at once from one decomposition of its
+pencil z E - F: one `eigh` when the pencil is Hermitian-definite, as it
+is for Hermitian A, and one complex QZ otherwise. `rfom_v3` is `rfom_v2`
+plus the plain Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
 come in conjugate pairs, as on a trapezoid circle with a real centre, the

@@ -20,6 +20,9 @@ from .core import (
 )
 from .engines import FunctionSpec
 
+# rfom2 run computes no oracle above ORACLE_MAX_N, and oracle_eig takes
+# no non-Hermitian matrix above ORACLE_GENERAL_MAX_N
+ORACLE_MAX_N = 3200
 ORACLE_GENERAL_MAX_N = 1500
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfom2 import ZeroRhs, arnoldi, as_operator, shifted_fom_solve
+from rfom2 import ZeroRhs, arnoldi, as_operator, gen_laplacian_2d, shifted_fom_solve
 
 
 def relation_residual(A, dec):
@@ -46,6 +46,19 @@ class TestArnoldi:
         dec = arnoldi(A, rng.standard_normal(n), 100, reorth=True)
         VhV = dec.V.conj().T @ dec.V
         assert np.linalg.norm(VhV - np.eye(dec.j + 1)) <= 1e-12
+
+    def test_entries_past_sqrt_range(self):
+        # sqrt(x.x) overflows once entries pass about 1e154; the norms of
+        # b and of each new vector must not. Scaling A and b by c scales
+        # Hbar and beta by c and keeps V, up to the rounding of c A (V
+        # moved by 6e-15 here)
+        A = gen_laplacian_2d(6)
+        b = np.random.default_rng(8).standard_normal(36)
+        dec, big = arnoldi(A, b, 10), arnoldi(A * 1e160, b * 1e160, 10)
+        assert np.isfinite(big.Hbar).all()
+        assert np.linalg.norm(big.Hbar / 1e160 - dec.Hbar) <= 1e-13 * np.linalg.norm(dec.Hbar)
+        assert np.linalg.norm(big.V - dec.V) <= 1e-13
+        assert abs(big.beta / 1e160 - dec.beta) <= 1e-14 * dec.beta
 
     def test_zero_rhs(self):
         with pytest.raises(ZeroRhs):

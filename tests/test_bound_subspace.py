@@ -64,8 +64,8 @@ def convdiff_sequence():
 def solve_pass(seq, fun, rule_for, j, k, refresh, operator=as_operator):
     """The recycled engines and the update over a sequence, through the public
     API, with a new operator wrapper per problem. With refresh, C = A U is
-    recomputed by `from_basis` before Arnoldi, as `rfom2 run` does; without,
-    the subspace arrives as the previous problem's update left it."""
+    recomputed by `from_basis` before Arnoldi; without, the subspace arrives
+    as the previous problem's update left it, as in `rfom2 run`."""
     rec = RecycleSubspace.empty(seq.base.shape[0])
     out = []
     for A, b in gen_perturbation_sequence(seq):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rfom2.cli
+import rfom2.engines
 from rfom2.core import ParseError, RankDeficient
 from rfom2.cli import (
     CSV_COLUMNS,
@@ -15,7 +16,7 @@ from rfom2.cli import (
     run_experiment,
     sweep_quadrature,
 )
-from rfom2.problems import save_matrix_market
+from rfom2.problems import gen_laplacian_2d, save_matrix_market
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -182,6 +183,37 @@ class TestRunExperiment:
         assert {r["status"] for r in report.rows} == {"ok"}
         assert all(np.isfinite(r["rel_error"]) for r in report.rows)
 
+    # the matrix below overflows the stages that square its entries; those
+    # warnings are the failures under test, which must become rows
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_entries_past_sqrt_range_give_rows(self, tmp_path):
+        # a Laplacian times 1e160: sqrt(x.x) overflows, and stages that
+        # overflow raise numpy's ValueError (LinAlgError from the rule's
+        # eigvals, before Arnoldi took BLAS norms) rather than an
+        # RFOMError. Every (problem, engine) still gets a row, and
+        # Arnoldi's rows match the same run at 1e150
+        def run(scale):
+            mfile = tmp_path / f"huge{scale:g}.mtx"
+            save_matrix_market(mfile, gen_laplacian_2d(6) * scale)
+            cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
+                                   function="inverse", j=10, k=2, n_problems=2,
+                                   engines="arnoldi,arnoldi_q,v1,v2,v3",
+                                   output=str(tmp_path / "out.csv"))
+            return run_experiment(cfg)
+
+        report = run(1e160)
+        rows = {(r["problem_index"], r["engine"]) for r in report.rows}
+        assert rows >= {(i, e) for i in (1, 2) for e in ("arnoldi", "arnoldi_q",
+                                                         "v1", "v2", "v3")}
+        assert all(r["status"] == "ok" or r["status"].startswith("error:")
+                   for r in report.rows)
+        huge = report.select(engine="arnoldi")
+        plain = run(1e150).select(engine="arnoldi")
+        assert [r["status"] for r in huge] == ["ok", "ok"]
+        for r, r_ref in zip(huge, plain):
+            assert abs(r["rel_error"] - r_ref["rel_error"]) <= 1e-12 * r_ref["rel_error"]
+
     def test_csv_determinism(self, tmp_path):
         def run(name):
             cfg = ExperimentConfig(problem="laplacian2d", m=6, function="inverse",
@@ -289,22 +321,23 @@ class TestRunExperiment:
                                               oracle_calls, refreshes):
         # a fixed matrix is one object for the whole sequence: its oracle
         # eigendecomposition is computed once and the update's C = A U is
-        # used as it stands; a changing matrix needs both every problem
+        # used as it stands; a changing matrix needs both every problem,
+        # and C is refreshed where the engines and the update read it
         calls = {"oracle": 0, "refresh": 0}
-        oracle_eig = rfom2.cli.oracle_eig
+        oracle_eig, current = rfom2.cli.oracle_eig, rfom2.engines._current
 
         def counting_oracle(A, hermitian=False):
             calls["oracle"] += 1
             return oracle_eig(A, hermitian)
 
-        class CountingSubspace(rfom2.cli.RecycleSubspace):
-            @classmethod
-            def from_basis(cls, op, U):
-                calls["refresh"] += 1
-                return super().from_basis(op, U)
+        def counting_current(dec, rec):
+            C = rec.C
+            rec = current(dec, rec)
+            calls["refresh"] += rec.C is not C
+            return rec
 
         monkeypatch.setattr(rfom2.cli, "oracle_eig", counting_oracle)
-        monkeypatch.setattr(rfom2.cli, "RecycleSubspace", CountingSubspace)
+        monkeypatch.setattr(rfom2.engines, "_current", counting_current)
         cfg = ExperimentConfig(problem="graded_hermitian", n=120, small_count=8,
                                small_min=1.0, small_max=1.2, bulk_min=15.0,
                                bulk_max=60.0, function="inverse", j=20, k=6,
@@ -379,6 +412,18 @@ class TestSweep:
         quad = report.select(engine="arnoldi_q")
         assert [r["n_quad"] for r in quad] == [16, 32]
         assert all(r["status"] == "ok" for r in quad)
+
+    def test_contour_failure_rows(self, tmp_path):
+        # TestMain.test_contour_failure_rows' problem: no circle separates
+        # its Ritz values from log's singularity, so every node count gives
+        # one error row per engine
+        cfg = ExperimentConfig(problem="convdiff2d", m=10, convection=30.0,
+                               function="log", j=20, engines="arnoldi,arnoldi_q",
+                               output=str(tmp_path / "out.csv"))
+        report = sweep_quadrature(cfg, [16, 64, 256])
+        assert [(r["n_quad"], r["engine"], r["status"]) for r in report.rows] == \
+            [(nq, e, "error:NoSeparatingContour")
+             for nq in (16, 64, 256) for e in ("arnoldi", "arnoldi_q")]
 
 
 class TestMain:
