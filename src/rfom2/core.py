@@ -59,8 +59,8 @@ class ParseError(RFOMError, ValueError):
     """Malformed input file or config, located by line or by key."""
 
 
-class UnsupportedFormat(RFOMError):
-    pass
+class UnsupportedFormat(ParseError):
+    """A well-formed input file in a format the reader does not take."""
 
 
 class UnknownFunction(RFOMError):

@@ -12,9 +12,11 @@ relies on this for its one refresh per changed matrix. Only `rfom_v1`,
 the independent reference, accumulates its quadrature sum node by node,
 in ascending node order. `rfom_v2`, and through it `arnoldi_quad` and
 `rfom_v3`, sums over all nodes at once from one decomposition of its
-pencil z E - F: one `eigh` when the pencil is Hermitian-definite, as it
-is for Hermitian A, and one complex QZ otherwise. `rfom_v3` is `rfom_v2`
-plus the plain Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
+pencil z E - F, whose E is Hermitian positive definite: one `eigh` when
+F is Hermitian, as it is for Hermitian A, and otherwise the Cholesky
+factor E = L L^* and one complex Schur form of L^{-1} F L^{-*}.
+`rfom_v3` is `rfom_v2` plus the plain Krylov quadrature error
+`arnoldi_direct - arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
 come in conjugate pairs, as on a trapezoid circle with a real centre, the
@@ -27,13 +29,13 @@ or functions without that symmetry, sum every node.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
 from .arnoldi import ArnoldiDecomposition, LinearOperator, as_operator
 from .core import (
-    NoConvergence,
     SingularMatrix,
     SingularProjector,
     SingularShift,
@@ -158,7 +160,7 @@ def arnoldi_direct(dec, fun):
 def arnoldi_quad(dec, fun, rule):
     """Quadrature form of the Arnoldi approximation (the "Arnoldi (q)" baseline),
     V_j q(H_j) beta e_1: `rfom_v2` on an empty subspace, whose pencil is
-    (I_j, H_j) with right-hand side beta e_1 and balancing s = 1."""
+    (I_j, H_j) with right-hand side beta e_1."""
     return rfom_v2(dec, RecycleSubspace.empty(dec.V.shape[0]), fun, rule)
 
 
@@ -206,67 +208,45 @@ def rfom_v1(dec, rec, fun, rule):
 
 
 def _pencil_node_sum(E, F, rhs, nodes, mu):
-    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once.
+    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once. E must be
+    Hermitian positive definite (else LinAlgError), and a node on the
+    pencil's spectrum raises SingularSystem (`_check_nodes`).
 
-    A Hermitian-definite pencil, E and F Hermitian to `is_hermitian`'s
-    1e-12 and E positive definite, goes through one `eigh`; any other
-    pencil, and any on which `eigh` fails, through one complex QZ.
+    F Hermitian to `is_hermitian`'s 1e-12: one `eigh` gives F X = E X Lambda
+    with X^* E X = I, so the sum is X (c * (R mu)), c = X^* rhs and
+    R_il = 1/(z_l - lambda_i). Otherwise E = L L^* and the complex Schur
+    form L^{-1} F L^{-*} = Z T Z^* turn every node system into the
+    triangular (z_l I - T) y_l = Z^* L^{-1} rhs, back-substituted for all
+    nodes at once, and the sum is L^{-*} Z sum_l mu_l y_l. L is complex
+    like T and Z, so a real pencil and its complex cast share L, T and Z
+    and the conjugate fold changes only the node sum.
     """
-    if is_hermitian(E) and is_hermitian(F):
-        try:
-            return _eigh_node_sum(E, F, rhs, nodes, mu)
-        except scipy.linalg.LinAlgError:
-            pass  # E is not positive definite
-    return _qz_node_sum(E, F, rhs, nodes, mu)
+    if is_hermitian(F):
+        lam, X = scipy.linalg.eigh(F, E, check_finite=False)
+        gap = _check_nodes(nodes, lam)
+        return X @ ((X.conj().T @ rhs) * ((1.0 / gap) @ mu))
+    L = scipy.linalg.cholesky(E.astype(np.complex128), lower=True)
+    solve_l = partial(scipy.linalg.solve_triangular, L, lower=True, check_finite=False)
+    T, Z = scipy.linalg.schur(solve_l(solve_l(F).conj().T).conj().T, output="complex")
+    gap = _check_nodes(nodes, np.diag(T))
+    Y = np.empty((T.shape[0], nodes.size), dtype=np.complex128)
+    c = Z.conj().T @ solve_l(rhs)
+    for i in range(T.shape[0] - 1, -1, -1):
+        Y[i] = (c[i] + T[i, i + 1:] @ Y[i + 1:]) / gap[i]
+    return solve_l(Z @ (Y @ mu), trans="C")
 
 
-def _check_nodes(diag, nodes, scale):
-    """Raise SingularSystem at the first node l with some
-    |diag_il| <= 1e-14 scale_l, scale_l being the size of z_l E - F."""
-    singular = ~(np.abs(diag) > 1e-14 * scale).all(axis=0)
+def _check_nodes(nodes, lam):
+    """The gaps z_l - lambda_i, indexed [i, l], with lambda the pencil's
+    eigenvalues; SingularSystem at the first node with some |z_l - lambda_i|
+    not above 1e-14 (|z_l| + max|lambda|)."""
+    gap = nodes - lam[:, None]
+    scale = np.abs(nodes) + np.max(np.abs(lam))
+    singular = ~(np.abs(gap) > 1e-14 * scale).all(axis=0)
     if singular.any():
         z = nodes[np.argmax(singular)]
         raise SingularSystem(f"pencil z E - F singular at node {z}")
-
-
-def _eigh_node_sum(E, F, rhs, nodes, mu):
-    """The node sum of a Hermitian-definite pencil from one `eigh`.
-
-    F X = E X Lambda with X^* E X = I gives
-    (z E - F)^{-1} = X (z - Lambda)^{-1} X^*, so the sum is
-    X (c * (R mu)) with c = X^* rhs and R_il = 1/(z_l - lambda_i): O(m)
-    per node. A node is singular when some |z_l - lambda_i| is not above
-    1e-14 (|z_l| + max|lambda|). Raises LinAlgError when E is not positive
-    definite.
-    """
-    lam, X = scipy.linalg.eigh(F, E, check_finite=False)
-    gap = nodes - lam[:, None]
-    _check_nodes(gap, nodes, np.abs(nodes) + np.max(np.abs(lam)))
-    return X @ ((X.conj().T @ rhs) * ((1.0 / gap) @ mu))
-
-
-def _qz_node_sum(E, F, rhs, nodes, mu):
-    """The node sum of any pencil from one complex QZ.
-
-    With F = Q T Z^* and E = Q S Z^* (T, S upper triangular), every node
-    system becomes the triangular (z_l S - T) y_l = Q^* rhs. Back
-    substitution runs over the m rows for all nodes at once, and the sum
-    is Z sum_l mu_l y_l. A node is singular when a diagonal entry
-    |z_l S_ii - T_ii| is not above 1e-14 (|z_l| max|E| + max|F|).
-    """
-    m = E.shape[0]
-    try:
-        T, S, Q, Z = scipy.linalg.qz(F, E, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(f"QZ iteration failed: {exc}") from exc
-    diag = nodes * np.diag(S)[:, None] - np.diag(T)[:, None]
-    _check_nodes(diag, nodes, np.abs(nodes) * np.max(np.abs(E)) + np.max(np.abs(F)))
-    Y = np.empty((m, nodes.size), dtype=np.complex128)
-    c = Q.conj().T @ rhs
-    for i in range(m - 1, -1, -1):
-        Yi = Y[i + 1:]
-        Y[i] = (c[i] - nodes * (S[i, i + 1:] @ Yi) + T[i, i + 1:] @ Yi) / diag[i]
-    return Z @ (Y @ mu)
+    return gap
 
 
 def _node_weights(fun, rule):
@@ -321,17 +301,14 @@ def _v2_pencil(dec, rec):
 def rfom_v2(dec, rec, fun, rule):
     """Compact recycled approximation: one (k+j) system per quadrature node.
 
-    The node systems form the pencil z E - F of `_v2_pencil`; one `eigh`
-    or QZ of it serves all of them. QZ loses digits when the columns of
-    V_hat differ widely in length, so the pencil is balanced first by the
-    exact power-of-two diagonal s = 2^-round(log2 sqrt(diag E)); unit
-    columns, every V_j column among them, get s = 1.
+    The node systems form the pencil z E - F of `_v2_pencil`, and one
+    `eigh`, or one Cholesky factor and complex Schur form, of it serves
+    all of them (`_pencil_node_sum`).
     """
     Vhat, E, F, Vhb = _v2_pencil(dec, rec)
-    s = 2.0 ** -np.round(np.log2(np.sqrt(np.diag(E).real)))
     nodes, mu, folded = _folded_nodes(fun, rule, dec, rec)
-    y = _pencil_node_sum(s[:, None] * E * s, s[:, None] * F * s, s * Vhb, nodes, mu)
-    return Vhat @ (s * (y.real if folded else y))
+    y = _pencil_node_sum(E, F, Vhb, nodes, mu)
+    return Vhat @ (y.real if folded else y)
 
 
 def rfom_v3(dec, rec, fun, rule):

@@ -1,6 +1,7 @@
 """Test problem generators, Matrix Market ingestion, the dense oracle
 and the function catalog."""
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,17 @@ def load_matrix_market(path):
     """Read a coordinate-format Matrix Market file into CSR form.
 
     Symmetric/hermitian files store one triangle; the loader mirrors the
-    (conjugated) entries. Array and pattern files are rejected.
+    (conjugated) entries. A file that cannot be read or is not text, a bad
+    header (UnsupportedFormat for array, pattern and integer files) and a
+    malformed or non-finite entry raise ParseError naming file and line.
     """
-    with open(path, "r") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file") from exc
     if not lines:
         raise ParseError(f"{path}:1: empty file")
     header = lines[0].split()
@@ -45,11 +53,11 @@ def load_matrix_market(path):
         raise ParseError(f"{path}:1: malformed MatrixMarket header")
     fmt, field, symmetry = (h.lower() for h in header[2:5])
     if fmt != "coordinate":
-        raise UnsupportedFormat(f"unsupported format {fmt!r} (only coordinate)")
+        raise UnsupportedFormat(f"{path}:1: unsupported format {fmt!r} (only coordinate)")
     if field not in ("real", "complex"):
-        raise UnsupportedFormat(f"unsupported field {field!r} (only real/complex)")
+        raise UnsupportedFormat(f"{path}:1: unsupported field {field!r} (only real/complex)")
     if symmetry not in ("general", "symmetric", "hermitian"):
-        raise UnsupportedFormat(f"unsupported symmetry {symmetry!r}")
+        raise UnsupportedFormat(f"{path}:1: unsupported symmetry {symmetry!r}")
 
     lineno = 1
     rows = cols = nnz = None
@@ -80,6 +88,8 @@ def load_matrix_market(path):
                 v = complex(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad entry") from exc
+        if not cmath.isfinite(v):
+            raise ParseError(f"{path}:{lineno}: entry is not finite")
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParseError(f"{path}:{lineno}: index out of range")
         i_idx.append(i - 1)

@@ -132,7 +132,8 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
     outer clearance of the annulus of analyticity. The radius then
     exceeds the enclosing minimum by sqrt(avail/need), which is the
     margin (the explicit margin argument only shapes the fallback); a
-    single point (need = 0) gets the radius avail / 2.
+    single point (need = 0) gets the radius avail / 2. Where need * avail
+    leaves the float range, the radius is sqrt(need) sqrt(avail).
     Raises NoSeparatingContour when no such circle exists.
     """
     contour = suggest_contour(spectrum_estimates, margin)
@@ -152,4 +153,6 @@ def guarded_contour(spectrum_estimates, margin, singularity=None):
             "cannot separate the singularity from the spectrum estimates with a circle"
         )
     radius = float(np.sqrt(need * avail)) if need > 0.0 else 0.5 * avail
+    if not 0.0 < radius < np.inf:  # need * avail left the float range
+        radius = float(np.sqrt(need) * np.sqrt(avail))
     return CircleContour(center=center, radius=radius)

@@ -37,7 +37,8 @@ def harmonic_ritz_update(dec, rec, op, k):
     |nu|, and nu = 0 is an infinite theta. Otherwise, or when `eigh` fails,
     a general `eig` solves the pencil as it stands. The returned U has
     unit columns, and numerically dependent selected vectors are dropped
-    (the actual k may shrink).
+    (the actual k may shrink). Raises RankDeficient when no harmonic Ritz
+    value is finite or the selected vectors are zero.
 
     C = A U would be one block apply; the update makes none. U = V_hat g
     gives A U = (A V_hat) g, and A V_hat is already built, so C takes the
@@ -50,6 +51,8 @@ def harmonic_ritz_update(dec, rec, op, k):
     Vhat, AVhat = augmented_basis(dec, rec)
     lhs, rhs = _pencil(Vhat, AVhat)
     vectors, ranked = _ranked_pairs(lhs, rhs)
+    if ranked.size == 0:
+        raise RankDeficient("no harmonic Ritz value is finite")
     g = vectors[:, ranked[:k]]
     U, C = Vhat @ g, AVhat @ g
     norms = np.linalg.norm(U, axis=0)

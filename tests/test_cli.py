@@ -1,6 +1,7 @@
 """Config parsing, the experiment driver, sweeps, and CSV reports."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +16,14 @@ from rfom2.cli import (
     parse_config,
     run_experiment,
     sweep_quadrature,
+)
+from rfom2 import (
+    CircleContour,
+    arnoldi,
+    arnoldi_direct,
+    arnoldi_quad,
+    gen_perturbation_sequence,
+    trapezoid_contour,
 )
 from rfom2.problems import gen_laplacian_2d, save_matrix_market
 
@@ -213,6 +222,65 @@ class TestRunExperiment:
         assert [r["status"] for r in huge] == ["ok", "ok"]
         for r, r_ref in zip(huge, plain):
             assert abs(r["rel_error"] - r_ref["rel_error"]) <= 1e-12 * r_ref["rel_error"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_entries_past_sqrt_range_keep_the_contour(self, tmp_path):
+        # the same Laplacian times 1e160 at seed 0: the guarded circle's
+        # need * avail overflows on problem 1, and the update's pencil
+        # overflows so that no harmonic Ritz value is finite
+        mfile = tmp_path / "huge.mtx"
+        save_matrix_market(mfile, gen_laplacian_2d(6) * 1e160)
+        cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
+                               function="inverse", j=10, k=2, n_problems=2,
+                               engines="arnoldi,arnoldi_q,v1,v2,v3",
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        first = {r["engine"]: r["status"] for r in report.select(problem_index=1)}
+        assert [first[e] for e in ("arnoldi_q", "v1", "v2", "v3")] == ["ok"] * 4
+        assert [r["status"] for r in report.select(engine="recycle")] \
+            == ["error:RankDeficient"] * 2
+
+    def test_fixed_circle(self, tmp_path):
+        # contour_center and contour_radius replace the guarded circle:
+        # arnoldi_q's row is arnoldi_quad on that circle, against arnoldi
+        cfg = ExperimentConfig(problem="laplacian2d", m=6, function="inverse", j=10,
+                               n_quad=64, contour_center="4", contour_radius="3.9",
+                               engines="arnoldi,arnoldi_q", oracle=False,
+                               output=str(tmp_path / "out.csv"))
+        _, fun, seq, _ = rfom2.cli._setup(cfg, 1, 0.0)
+        A, b = next(gen_perturbation_sequence(seq))
+        dec = arnoldi(A, b, 10)
+        x = arnoldi_direct(dec, fun)
+        rule = trapezoid_contour(CircleContour(4.0 + 0.0j, 3.9), 64)
+        err = np.linalg.norm(arnoldi_quad(dec, fun, rule) - x) / np.linalg.norm(x)
+        rows = run_experiment(cfg).select(engine="arnoldi_q")
+        assert [r["status"] for r in rows] == ["ok"]
+        assert rows[0]["rel_error"] == pytest.approx(err, rel=1e-12)
+        auto = run_experiment(dataclasses.replace(cfg, contour_center="auto",
+                                                  contour_radius="auto"))
+        assert auto.select(engine="arnoldi_q")[0]["rel_error"] != rows[0]["rel_error"]
+
+    def test_relative_matrix_file_in_data_dir(self, tmp_path, monkeypatch):
+        # a relative matrix_file is read from RFOM2_DATA_DIR, not the cwd
+        (tmp_path / "data").mkdir()
+        (tmp_path / "work").mkdir()
+        save_matrix_market(tmp_path / "data" / "lap.mtx", gen_laplacian_2d(6))
+        cfg = ExperimentConfig(problem="matrix_market", matrix_file="lap.mtx",
+                               function="inverse", j=10, engines="arnoldi,arnoldi_q",
+                               output=str(tmp_path / "rel.csv"))
+        monkeypatch.chdir(tmp_path / "work")
+        monkeypatch.setenv(rfom2.cli.DATA_DIR_ENV, str(tmp_path / "data"))
+        rel = run_experiment(cfg).rows
+        absolute = run_experiment(dataclasses.replace(
+            cfg, matrix_file=str(tmp_path / "data" / "lap.mtx"))).rows
+        assert [r["status"] for r in rel] == ["ok", "ok"]
+        for row in rel + absolute:
+            row.pop("wall_ms")
+        assert rel == absolute
+        monkeypatch.delenv(rfom2.cli.DATA_DIR_ENV)
+        with pytest.raises(ParseError, match="lap.mtx"):
+            run_experiment(cfg)
 
     def test_csv_determinism(self, tmp_path):
         def run(name):
@@ -487,6 +555,30 @@ class TestMain:
         err = capsys.readouterr().err
         assert "'matrix_file'" in err and "3 x 4" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case", ["missing", "array", "binary", "nan"])
+    def test_unusable_matrix_file_exits_2(self, tmp_path, capsys, case):
+        # one stderr line naming the file, and the line of a bad entry
+        mfile = tmp_path / f"{case}.mtx"
+        if case == "array":
+            mfile.write_text("%%MatrixMarket matrix array real general\n2 2\n"
+                             "1.0\n0.0\n0.0\n1.0\n")
+        elif case == "binary":
+            mfile.write_bytes(np.random.default_rng(0).bytes(300))
+        elif case == "nan":
+            mfile.write_text("%%MatrixMarket matrix coordinate real general\n"
+                             "2 2 2\n1 1 nan\n2 2 1.0\n")
+        cfgfile = write_config(tmp_path, f"""
+            problem = matrix_market
+            matrix_file = {mfile}
+            j = 1
+            output = {tmp_path / "u.csv"}
+        """)
+        assert main(["run", cfgfile]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(mfile) in err[0]
+        if case == "nan":
+            assert f"{mfile}:3:" in err[0]
 
     def test_graded_cluster_bounds_exit_2(self, tmp_path, capsys):
         # the small cluster is geometrically spaced, so a zero bound or

@@ -39,12 +39,10 @@ from rfom2.core import (
 )
 from rfom2.engines import (
     _deflate,
-    _eigh_node_sum,
     _folded_nodes,
     _node_factor,
     _node_weights,
     _pencil_node_sum,
-    _qz_node_sum,
     _v2_pencil,
 )
 from rfom2.problems import (
@@ -202,7 +200,7 @@ def v2_plus_krylov_error(dec, rec, fun, rule):
 
 
 def loop_node_terms(E, F, rhs, nodes, mu):
-    """Reference for the QZ kernel: the terms mu_l (z_l E - F)^{-1} rhs,
+    """Reference for the node-sum kernel: the terms mu_l (z_l E - F)^{-1} rhs,
     one LU solve per node."""
     return np.array([w * lu_solve(z * E - F, rhs) for z, w in zip(nodes, mu)])
 
@@ -321,7 +319,7 @@ class TestQuadIsV2OnEmptySubspace:
         rng = np.random.default_rng(23)
         if kind == "real hermitian":  # eigh kernel, folded
             A, b, _, _ = spd_problem(seed=23)
-        else:  # QZ kernel; the real problem folds, the complex one does not
+        else:  # Schur kernel; the real problem folds, the complex one does not
             A = gen_convection_diffusion_2d(8, convection=1.0)
             if kind == "complex":
                 A = A + 1j * np.diag(rng.uniform(size=64))
@@ -474,18 +472,28 @@ class TestRecycledEngines:
             rec = RecycleSubspace.from_basis(self.A, self.dec.Vj[:, :4] + shift * noise)
             assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), xq) <= tol
 
-    def test_v2_balances_badly_scaled_basis(self):
-        # columns of U scaled up to ~800 long against unit V_j columns: QZ
-        # on the unbalanced pencil lost up to 8e-11 against the per-node LU loop
+    @pytest.mark.parametrize("normal", [True, False], ids=["hermitian", "non-normal"])
+    def test_v2_on_badly_scaled_basis(self, normal):
+        # columns of U scaled up to ~800 long against unit V_j columns, on
+        # the Hermitian A (eigh branch) and on a non-normal complex A (Schur
+        # branch): both are invariant under column scaling, so v2 does not
+        # balance its pencil
         rng = np.random.default_rng(19)
+        A, dec = self.A, self.dec
+        if not normal:  # the same eigenvalues, with a complex Schur form
+            N = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
+            A = self.Q @ (np.diag(self.lam) + np.triu(N, 1)) @ self.Q.T
+            dec = arnoldi(A, self.b, 14)
         for _ in range(3):
             U = rng.standard_normal((80, 8)) + 1j * rng.standard_normal((80, 8))
             U = U * (rng.uniform(1.0, 60.0, 8) * np.exp(2j * np.pi * rng.uniform(size=8)))
-            rec = RecycleSubspace(U=U, C=self.A @ U)
-            Vhat, E, F, Vhb = _v2_pencil(self.dec, rec)
-            terms = loop_node_terms(E, F, Vhb, self.rule.nodes, _node_weights(self.fun, self.rule))
+            rec = RecycleSubspace(U=U, C=A @ U)
+            Vhat, E, F, Vhb = _v2_pencil(dec, rec)
+            assert is_hermitian(F) == normal
+            terms = loop_node_terms(E, F, Vhb, self.rule.nodes,
+                                    _node_weights(self.fun, self.rule))
             ref = Vhat @ terms.sum(axis=0)
-            assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), ref) <= 1e-13
+            assert relerr(rfom_v2(dec, rec, self.fun, self.rule), ref) <= 1e-13
 
     def test_d_scaling_invariance(self):
         # the engines depend on U only through span(U): scaling its columns
@@ -624,17 +632,19 @@ def random_unitary(rng, m):
 
 
 class TestPencilKernel:
-    """The QZ node-sum kernel, of v2's pencil and of arnoldi_quad's (I, H),
+    """The node-sum kernel, of v2's pencil and of arnoldi_quad's (I, H),
     against a per-node LU loop."""
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(1, 12), n_nodes=st.integers(1, 24),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_lu_loop(self, m, n_nodes, seed):
-        # singular values of E in [0.5, 2] and of F in [0, 2], nodes with
+        # E Hermitian positive definite, as v2's pencil has it, with
+        # eigenvalues in [0.5, 2], singular values of F in [0, 2], nodes with
         # 6 <= |z| <= 10: every z E - F has condition number at most 22
         rng = np.random.default_rng(seed)
-        E = (random_unitary(rng, m) * rng.uniform(0.5, 2.0, m)) @ random_unitary(rng, m)
+        W = random_unitary(rng, m)
+        E = (W * rng.uniform(0.5, 2.0, m)) @ W.conj().T
         F = (random_unitary(rng, m) * rng.uniform(0.0, 2.0, m)) @ random_unitary(rng, m)
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         nodes = rng.uniform(6.0, 10.0, n_nodes) * np.exp(2j * np.pi * rng.uniform(size=n_nodes))
@@ -693,15 +703,20 @@ class TestPencilKernel:
 
 
 # Largest relative gaps over 1500 random draws of TestHermitianKernel's
-# problems: 3.4e-14 between the eigh and QZ kernels on v2's pencil,
-# 1.1e-14 between rfom_v2 and rfom_v1, 1.5e-14 between arnoldi_quad and
-# its per-node LU loop.
+# problems: 1.7e-14 between the eigh branch and the per-node LU loop on
+# v2's pencil, 1.1e-14 between rfom_v2 and rfom_v1, 1.5e-14 between
+# arnoldi_quad and its per-node LU loop.
 HERMITIAN_KERNEL_TOL = 1e-12
 
 
+def no_schur(*args, **kwargs):
+    raise AssertionError("a Hermitian F left the eigh branch")
+
+
 class TestHermitianKernel:
-    """The eigh node-sum kernel of Hermitian-definite pencils, against the
-    QZ kernel and the per-node loops, and the pencils that fall back to QZ."""
+    """The eigh branch of the node-sum kernel, for Hermitian F, against the
+    per-node loops and the Schur branch, and the pencils that take the
+    Schur branch."""
 
     @settings(max_examples=40, deadline=None)
     @given(j=st.integers(4, 15), k=st.integers(1, 6), circle=st.booleans(),
@@ -729,8 +744,8 @@ class TestHermitianKernel:
         mu = _node_weights(fun, rule)
         _, E, F, Vhb = _v2_pencil(dec, rec)
         assert is_hermitian(E) and is_hermitian(F)
-        qz = _qz_node_sum(E, F, Vhb, rule.nodes, mu)
-        assert relerr(_eigh_node_sum(E, F, Vhb, rule.nodes, mu), qz) <= HERMITIAN_KERNEL_TOL
+        loop = loop_node_terms(E, F, Vhb, rule.nodes, mu).sum(axis=0)
+        assert relerr(_pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
         x1 = rfom_v1(dec, rec, fun, rule)
         assert relerr(rfom_v2(dec, rec, fun, rule), x1) <= HERMITIAN_KERNEL_TOL
         xq = loop_arnoldi_quad(dec, fun, rule)
@@ -744,18 +759,21 @@ class TestHermitianKernel:
         nodes = 12.0 * np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
         return F, rhs, nodes, rng.standard_normal(16) + 0j
 
-    def test_indefinite_e_falls_back_to_qz(self):
+    def test_indefinite_e_raises(self):
+        # no engine builds an indefinite E; both branches reject it
         F, rhs, nodes, mu = self.pencil()
         E = np.diag([1.0, -1.0, 2.0, 1.0, 1.0, -3.0, 1.0, 1.0])
-        assert is_hermitian(E) and is_hermitian(F)
-        with pytest.raises(np.linalg.LinAlgError):
-            _eigh_node_sum(E, F, rhs, nodes, mu)
-        assert np.array_equal(_pencil_node_sum(E, F, rhs, nodes, mu),
-                              _qz_node_sum(E, F, rhs, nodes, mu))
-        # a node on an eigenvalue of the pencil raises as the QZ kernel does
-        D = np.diag(np.arange(1.0, 9.0))
-        with pytest.raises(SingularSystem):
-            _pencil_node_sum(E, D, rhs, np.array([12.0j, -2.0]), mu[:2])
+        K = np.triu(np.ones((8, 8)), 1)
+        for G in (F, F + K):
+            with pytest.raises(np.linalg.LinAlgError):
+                _pencil_node_sum(E, G, rhs, nodes, mu)
+        # on a definite E, a node on an eigenvalue of the pencil raises in
+        # both branches: D and D + K have the eigenvalues 1, ..., 8
+        E = np.diag([1.0, 0.5, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0])
+        D = E * np.arange(1.0, 9.0)
+        for G in (D, D + K):
+            with pytest.raises(SingularSystem):
+                _pencil_node_sum(E, G, rhs, np.array([12.0j, 2.0]), mu[:2])
 
     def test_asymmetry_above_the_hermitian_test_falls_back_to_qz(self):
         F, rhs, nodes, mu = self.pencil()
@@ -765,14 +783,15 @@ class TestHermitianKernel:
         K = (K - K.T) * np.linalg.norm(F) / np.linalg.norm(K - K.T)
         below, above = F + 0.45e-12 * K, F + 0.55e-12 * K
         assert is_hermitian(below) and not is_hermitian(above)
-        assert np.array_equal(_pencil_node_sum(E, below, rhs, nodes, mu),
-                              _eigh_node_sum(E, below, rhs, nodes, mu))
-        assert np.array_equal(_pencil_node_sum(E, above, rhs, nodes, mu),
-                              _qz_node_sum(E, above, rhs, nodes, mu))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg, "schur", no_schur)
+            eigh = _pencil_node_sum(E, below, rhs, nodes, mu)
+        schur = _pencil_node_sum(E, above, rhs, nodes, mu)
+        assert relerr(schur, eigh) <= HERMITIAN_KERNEL_TOL
 
     def test_non_hermitian_pencil_keeps_qz(self):
         # real convection-diffusion: neither (I, H) nor v2's pencil is
-        # Hermitian, so every engine runs the QZ kernel as before
+        # Hermitian, so every engine runs the Schur branch
         A = gen_convection_diffusion_2d(10, convection=5.0)
         rng = np.random.default_rng(21)
         dec = arnoldi(A, rng.standard_normal(100), 15)
@@ -782,8 +801,8 @@ class TestHermitianKernel:
         fun = function_catalog("exp")
         rule = trapezoid_contour(guarded_contour(np.linalg.eigvals(dec.H), 0.1, None), 64)
         mu = _node_weights(fun, rule)
-        assert np.array_equal(_pencil_node_sum(E, F, Vhb, rule.nodes, mu),
-                              _qz_node_sum(E, F, Vhb, rule.nodes, mu))
+        loop = loop_node_terms(E, F, Vhb, rule.nodes, mu).sum(axis=0)
+        assert relerr(_pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
         for engine in (rfom_v2, rfom_v3):
             assert np.all(np.isfinite(engine(dec, rec, fun, rule)))
 

@@ -115,6 +115,16 @@ class TestContourSuggestion:
         c = guarded_contour([0.015], 0.1, singularity=0.0)
         assert abs(0.015 - c.center) < c.radius < abs(0.0 - c.center)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_guarded_radius_outside_the_float_range(self, scale):
+        # need * avail overflows at 1e160 and underflows at 1e-170: the
+        # radius is still the scaled radius of the unscaled estimates
+        est = scale * np.array([1.0, 8.0], dtype=complex)
+        c = guarded_contour(est, 1.0, singularity=0.0)
+        assert 0.0 < c.radius < np.inf
+        assert np.all(np.abs(est - c.center) < c.radius) and abs(c.center) > c.radius
+        assert c.radius == pytest.approx(scale * np.sqrt(3.5 * 4.5), rel=1e-15)
+
     def test_guarded_no_singularity_falls_back(self):
         est = [1.0, 3.0]
         assert guarded_contour(est, 0.1, singularity=None) == suggest_contour(est, 0.1)

@@ -16,8 +16,8 @@ from rfom2 import (
     subspace_angle,
     svd_values,
 )
-from rfom2.core import is_hermitian
-from rfom2.problems import gen_convection_diffusion_2d
+from rfom2.core import RankDeficient, is_hermitian
+from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d
 
 
 def eig_update(dec, rec, op, k):
@@ -150,6 +150,17 @@ class TestHarmonicRitz:
         rec = harmonic_ritz_update(dec, RecycleSubspace.empty(30), op, 3)
         assert rec.k == 3
         assert np.linalg.norm(A @ rec.U - rec.C) <= 1e-10 * np.linalg.norm(rec.C)
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_no_finite_harmonic_ritz_value(self):
+        # entries near 1e160: lhs = (A V_hat)^* A V_hat overflows, so no
+        # harmonic Ritz value is finite and there is nothing to select
+        A = gen_laplacian_2d(6).toarray() * 1e160
+        dec = arnoldi(A, np.random.default_rng(0).standard_normal(36), 10)
+        with pytest.raises(RankDeficient):
+            harmonic_ritz_update(dec, RecycleSubspace.empty(36), A, 2)
 
 
 class TestHermitianUpdate:
