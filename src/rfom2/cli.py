@@ -35,6 +35,7 @@ from .problems import (
     load_matrix_market,
     oracle_apply,
     oracle_eig,
+    read_lines,
 )
 from .quadrature import CircleContour, guarded_contour, stieltjes_invsqrt, \
     trapezoid_contour
@@ -95,21 +96,21 @@ class ExperimentConfig:
 def parse_config(path, overrides=()):
     """Flat 'key = value' file; '#' and ';' start comments; later keys win.
 
-    Raises ParseError, naming the line or the key, on a malformed line,
-    an unknown key, a value of the wrong type or a value no run can use.
+    Raises ParseError, naming the file, the line or the key, on a file that
+    cannot be read or is not text, a malformed line, an unknown key, a
+    value of the wrong type or a value no run can use.
     """
     cfg = ExperimentConfig()
     valid = {f.name for f in fields(ExperimentConfig)}
     pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (p.strip() for p in line.split("=", 1))
-            pairs.append((key, value))
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (p.strip() for p in line.split("=", 1))
+        pairs.append((key, value))
     for item in overrides:
         if "=" not in item:
             raise ParseError(f"override {item!r} must be key=value")

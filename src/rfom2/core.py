@@ -121,9 +121,11 @@ def qr_orthonormalize(M):
 
 
 def is_hermitian(M, rtol=1e-12):
-    """True when ||M - M^*||_F <= rtol ||M||_F; a zero matrix is Hermitian."""
+    """True when ||M - M^*||_F <= rtol ||M||_F (a zero M is Hermitian); both
+    norms are BLAS nrm2, which does not overflow past 1e154."""
     M = np.asarray(M)
-    return bool(np.linalg.norm(M - M.conj().T) <= rtol * np.linalg.norm(M))
+    norm = lambda X: scipy.linalg.norm(X.ravel(), check_finite=False)
+    return bool(norm(M - M.conj().T) <= rtol * norm(M))
 
 
 def eig_dense(M, hermitian=False):

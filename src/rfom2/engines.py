@@ -1,22 +1,24 @@
 """The five approximation engines for f(A) b.
 
 `arnoldi_direct` and `arnoldi_quad` are the plain Krylov baselines; the
-three recycled engines consume an additional augmentation subspace U
-with C = A U carried across problems, and `arnoldi_quad` is `rfom_v2` on
-an empty one. All engines are pure functions of (decomposition,
-subspace, function, rule), apart from one in-place refresh: a subspace
-whose C was computed for another operator than the decomposition's gets
-C = A U for the decomposition's operator, once, the first time any
-engine or the harmonic Ritz update reads it (`_current`); `rfom2 run`
-relies on this for its one refresh per changed matrix. Only `rfom_v1`,
-the independent reference, accumulates its quadrature sum node by node,
-in ascending node order. `rfom_v2`, and through it `arnoldi_quad` and
-`rfom_v3`, sums over all nodes at once from one decomposition of its
-pencil z E - F, whose E is Hermitian positive definite: one `eigh` when
-F is Hermitian, as it is for Hermitian A, and otherwise the Cholesky
-factor E = L L^* and one complex Schur form of L^{-1} F L^{-*}.
-`rfom_v3` is `rfom_v2` plus the plain Krylov quadrature error
-`arnoldi_direct - arnoldi_quad`.
+three recycled engines consume an additional augmentation subspace U with
+C = A U carried across problems, and `arnoldi_quad` is `rfom_v2` on an
+empty one. All engines are pure functions of (decomposition, subspace,
+function, rule), apart from one in-place refresh: a subspace whose C was
+computed for another operator than the decomposition's gets C = A U for
+the decomposition's operator, once, the first time any engine or the
+harmonic Ritz update reads it (`_current`); `rfom2 run` relies on this
+for its one refresh per changed matrix. Every engine but
+`arnoldi_direct`, and the harmonic Ritz update, reads one projection of A
+onto [U, V_j], U deflated against K_j (`_augmented_pencil`). Only
+`rfom_v1`, the independent reference, accumulates its quadrature sum node
+by node, in ascending node order. `rfom_v2`, and through it
+`arnoldi_quad` and `rfom_v3`, sums over all nodes at once from one
+decomposition of its pencil z E - F, whose E is Hermitian positive
+definite: one `eigh` when F is Hermitian, as it is for Hermitian A, and
+otherwise the Cholesky factor E = L L^* and one complex Schur form of
+L^{-1} F L^{-*}. `rfom_v3` is `rfom_v2` plus the plain Krylov quadrature
+error `arnoldi_direct - arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
 come in conjugate pairs, as on a trapezoid circle with a real centre, the
@@ -34,7 +36,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import ArnoldiDecomposition, LinearOperator, as_operator
+from .arnoldi import LinearOperator, as_operator
 from .core import (
     SingularMatrix,
     SingularProjector,
@@ -104,7 +106,7 @@ def _current(dec, rec):
 
 
 # Relative cut, against ||U||_2, on the singular values of U's part
-# outside K_j. The condition numbers of v2's pencil E = V_hat^* V_hat and
+# outside K_j. The condition numbers of the augmented E = V_hat^* V_hat and
 # of the harmonic Ritz pencil grow like the inverse square of the smallest
 # kept singular value. On 3 recycled graded n=900 sequences (j=50, k=20,
 # 4 problems each) they stayed at or below 1.3e10 and 1.7e10 with 1e-5;
@@ -128,13 +130,9 @@ def _deflate(dec, rec):
 
 
 def augmented_basis(dec, rec):
-    """(V_hat, A V_hat) = ([U, V_j], [C, V_{j+1} Hbar]), with U deflated
-    against K_j first.
-
-    C = A U and the Arnoldi relation A V_j = V_{j+1} Hbar give A V_hat
-    without a mat-vec. The harmonic Ritz update reads this pair; v2's
-    pencil reads the same deflated U and C but forms only V_hat.
-    """
+    """(V_hat, A V_hat) = ([U, V_j], [C, V_{j+1} Hbar]), U deflated against
+    K_j: the explicit pair, which no engine reads, that the tests check
+    `_augmented_pencil` and `harmonic_ritz_pencil` against."""
     rec = _deflate(dec, _current(dec, rec))
     return (np.concatenate([rec.U, dec.Vj], axis=1),
             np.concatenate([rec.C, dec.V @ dec.Hbar], axis=1))
@@ -167,43 +165,36 @@ def arnoldi_quad(dec, fun, rule):
 def rfom_v1(dec, rec, fun, rule):
     """Split-correction recycled approximation (Krylov and U parts separate).
 
-    Per node it makes two LU solves, one LAPACK gesv each. The k x k
-    projector z U*U - U*C solves its two right-hand sides as one block,
-    z [M_j, 0] - [M Hbar, -U*b] = [z M_j - M Hbar, U*b] with M = U*V_{j+1},
-    giving L = [L_M, L_b]. The projected j x j system
+    It reads `_augmented_pencil`'s blocks and per node makes two LU
+    solves, one LAPACK gesv each. The k x k projector z U*U - U*C solves
+    its two right-hand sides, the rest of the top rows of z E - F and
+    U*b, as one block, giving L = [L_M, L_b]. The projected j x j system
     (z I - H - K L_M) y = beta e_1 - K L_b, K = z V_j*U - V_j*C, gives the
-    Krylov coefficients y, and L_b - L_M y the subspace coefficients. All
-    products with U, C and V are formed once. At k = 0 the projector is
-    empty and the j x j system is z I - H.
+    Krylov coefficients y, and L_b - L_M y the subspace coefficients. At
+    k = 0 the projector is empty and the j x j system is z I - H.
     """
+    rec, E, F, Vhb = _augmented_pencil(dec, rec)
     j, k = dec.j, rec.k
-    U, C = rec.U, _current(dec, rec).C
-    Uh, Vjh = U.conj().T, dec.Vj.conj().T
-    M = Uh @ dec.V
-    P1 = np.concatenate([Uh @ U, M[:, :j], np.zeros((k, 1))], axis=1)
-    P0 = np.concatenate([Uh @ C, M @ dec.Hbar, -(Uh @ dec.b)[:, None]], axis=1)
-    Q1 = np.concatenate([np.eye(j, dtype=np.complex128), Vjh @ U], axis=1)
-    Q0 = np.concatenate([dec.H, Vjh @ C], axis=1)
-    Vjb = dec.beta * Q1[:, 0]  # V_j^* b exactly, since v_1 = b/||b||
-
+    P1 = np.concatenate([E[:k], np.zeros((k, 1))], axis=1)
+    P0 = np.concatenate([F[:k], -Vhb[:k, None]], axis=1)
     t1 = np.zeros(j, dtype=np.complex128)
     t2 = np.zeros(k, dtype=np.complex128)
     nodes, weights, folded = _folded_nodes(fun, rule, dec, rec)
     for z, mu in zip(nodes, weights):
-        P = z * P1 - P0  # [z U*U - U*C, z M_j - M Hbar, U*b]
+        P = z * P1 - P0  # [z U*U - U*C, z U*V_j - U*V Hbar, U*b]
         try:
             L = gesv_solve(P[:, :k], P[:, k:])
         except SingularMatrix as exc:
             raise SingularProjector(f"projector block singular at node {z}") from exc
-        Q = z * Q1 - Q0  # [z I - H, K]
-        K = Q[:, j:]
+        Q = z * E[k:] - F[k:]  # [K, z I - H]
+        K = Q[:, :k]
         try:
-            y = lu_solve(Q[:, :j] - K @ L[:, :j], Vjb - K @ L[:, j])
+            y = lu_solve(Q[:, k:] - K @ L[:, :j], Vhb[k:] - K @ L[:, j])
         except SingularMatrix as exc:
             raise SingularShift(f"inner system singular at node {z}") from exc
         t1 += mu * y
         t2 += mu * (L[:, j] - L[:, :j] @ y)
-    out = dec.Vj @ t1 + U @ t2
+    out = dec.Vj @ t1 + rec.U @ t2
     return out.real if folded else out
 
 
@@ -279,14 +270,13 @@ def _folded_nodes(fun, rule, dec, rec=None):
     return z[keep], np.where(alone, mu, 2.0 * mu)[keep], True
 
 
-def _v2_pencil(dec, rec):
-    """v2's node matrix V_hat^* (z I - A) V_hat as z E - F, V_hat = [U, V_j]
-    with U deflated against K_j.
-
-    E = V_hat^* V_hat and F = V_hat^* A V_hat, from C = A U and with the
-    V_j blocks filled analytically: V_j^* V_j = I and
-    V_j^* A V_j = V_j^* V_{j+1} Hbar = H. Returns (V_hat, E, F, V_hat^* b),
-    where V_j^* b = beta e_1.
+def _augmented_pencil(dec, rec):
+    """(rec', E, F, V_hat^* b): A projected onto V_hat = [U', V_j], with
+    rec' = (U', C') the subspace deflated against K_j, as the pencil
+    V_hat^* (z I - A) V_hat = z E - F. The blocks come from C' = A U', the
+    V_j blocks filled analytically: V_j^* V_j = I,
+    V_j^* A V_j = V_j^* V_{j+1} Hbar = H and V_j^* b = beta e_1. A caller
+    that needs V_hat forms [U', V_j].
     """
     rec = _deflate(dec, _current(dec, rec))
     U, C, j = rec.U, rec.C, dec.j
@@ -295,20 +285,20 @@ def _v2_pencil(dec, rec):
     E = np.block([[Uh @ U, UV[:, :j]], [Vjh @ U, np.eye(j)]])
     F = np.block([[Uh @ C, UV @ dec.Hbar], [Vjh @ C, dec.H]])
     Vhb = np.concatenate([Uh @ dec.b, dec.beta * np.eye(j, 1)[:, 0]])
-    return np.concatenate([U, dec.Vj], axis=1), E, F, Vhb
+    return rec, E, F, Vhb
 
 
 def rfom_v2(dec, rec, fun, rule):
     """Compact recycled approximation: one (k+j) system per quadrature node.
 
-    The node systems form the pencil z E - F of `_v2_pencil`, and one
-    `eigh`, or one Cholesky factor and complex Schur form, of it serves
+    The node systems form the pencil z E - F of `_augmented_pencil`, and
+    one `eigh`, or one Cholesky factor and complex Schur form, of it serves
     all of them (`_pencil_node_sum`).
     """
-    Vhat, E, F, Vhb = _v2_pencil(dec, rec)
+    rec, E, F, Vhb = _augmented_pencil(dec, rec)
     nodes, mu, folded = _folded_nodes(fun, rule, dec, rec)
     y = _pencil_node_sum(E, F, Vhb, nodes, mu)
-    return Vhat @ (y.real if folded else y)
+    return np.concatenate([rec.U, dec.Vj], axis=1) @ (y.real if folded else y)
 
 
 def rfom_v3(dec, rec, fun, rule):

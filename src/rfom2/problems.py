@@ -28,6 +28,17 @@ ORACLE_GENERAL_MAX_N = 1500
 
 
 # ---------------------------------------------------------------------------
+def read_lines(path):
+    """A text file's lines; ParseError naming the file if unreadable or not text."""
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file") from exc
+
+
 # Matrix Market exchange format (coordinate; real/complex;
 # general/symmetric/hermitian)
 
@@ -39,13 +50,7 @@ def load_matrix_market(path):
     header (UnsupportedFormat for array, pattern and integer files) and a
     malformed or non-finite entry raise ParseError naming file and line.
     """
-    try:
-        with open(path, "r") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text file") from exc
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}:1: empty file")
     header = lines[0].split()

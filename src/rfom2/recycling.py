@@ -5,56 +5,57 @@ import scipy.linalg
 
 from .arnoldi import as_operator
 from .core import RankDeficient, is_hermitian, qr_orthonormalize, svd_values
-from .engines import RecycleSubspace, augmented_basis
+from .engines import RecycleSubspace, _augmented_pencil
 
 
 def harmonic_ritz_pencil(dec, rec):
-    """Left and right matrices of the harmonic Ritz eigenproblem.
-
-    On the pair (V_hat, A V_hat) of `augmented_basis`, the pairs
-    (theta, g) make A V_hat g - theta V_hat g orthogonal to A V_hat:
-    (A V_hat)^* A V_hat g = theta (A V_hat)^* V_hat g, the condition of
-    recycled GMRES (GCRO-DR) written with the non-orthonormal columns of
-    A V_hat directly.
+    """(lhs, rhs) = ((A V_hat)^* A V_hat, (A V_hat)^* V_hat) on V_hat = [U, V_j],
+    U deflated against K_j: the pairs lhs g = theta rhs g make
+    A V_hat g - theta V_hat g orthogonal to A V_hat, the condition of
+    recycled GMRES (GCRO-DR). A V_hat = [C, V Hbar], V = V_{j+1}, is not
+    formed: V^* V = I gives lhs = [[C^*C, (C^*V) Hbar], [Hbar^*(V^*C), Hbar^*Hbar]],
+    and rhs = F^*, with F = V_hat^* A V_hat from `_augmented_pencil`.
     """
-    return _pencil(*augmented_basis(dec, rec))
+    return _ritz_pencil(dec, rec)[1:]
 
 
-def _pencil(Vhat, AVhat):
-    AVh = AVhat.conj().T
-    return AVh @ AVhat, AVh @ Vhat
+def _ritz_pencil(dec, rec):
+    """`harmonic_ritz_pencil`, with the deflated subspace first."""
+    rec, _, F, _ = _augmented_pencil(dec, rec)
+    CVH = (rec.C.conj().T @ dec.V) @ dec.Hbar
+    lhs = np.block([[rec.C.conj().T @ rec.C, CVH], [CVH.conj().T, dec.Hbar.conj().T @ dec.Hbar]])
+    return rec, lhs, F.conj().T
 
 
 def harmonic_ritz_update(dec, rec, op, k):
-    """New recycle subspace from the k smallest-magnitude harmonic Ritz pairs.
+    """New recycle subspace from the k smallest-magnitude harmonic Ritz pairs
+    of `harmonic_ritz_pencil`.
 
     Selecting the smallest |theta| targets functions whose singularity
-    sits at the origin. The pencil is built on the basis with U deflated
-    against K_j; infinite or NaN pairs are skipped. lhs = (A V_hat)^* A V_hat
-    is positive definite. When rhs = (A V_hat)^* V_hat is Hermitian to
-    `is_hermitian`'s 1e-12, as it is for Hermitian A, one `eigh` solves
-    rhs g = nu lhs g with nu = 1/theta: the smallest |theta| are the largest
-    |nu|, and nu = 0 is an infinite theta. Otherwise, or when `eigh` fails,
-    a general `eig` solves the pencil as it stands. The returned U has
-    unit columns, and numerically dependent selected vectors are dropped
-    (the actual k may shrink). Raises RankDeficient when no harmonic Ritz
-    value is finite or the selected vectors are zero.
+    sits at the origin; infinite or NaN pairs are skipped. lhs is positive
+    definite. When rhs is Hermitian to `is_hermitian`'s 1e-12, as it is for
+    Hermitian A, one `eigh` solves rhs g = nu lhs g with nu = 1/theta: the
+    smallest |theta| are the largest |nu|, and nu = 0 is an infinite theta.
+    Otherwise, or when `eigh` fails, a general `eig` solves the pencil as it
+    stands. The returned U has unit columns, and numerically dependent
+    selected vectors are dropped (the actual k may shrink). Raises
+    RankDeficient when no harmonic Ritz value is finite or the selected
+    vectors are zero.
 
-    C = A U would be one block apply; the update makes none. U = V_hat g
-    gives A U = (A V_hat) g, and A V_hat is already built, so C takes the
-    same columns and scaling as U and is bound to dec's operator (see
-    `RecycleSubspace`). op is A's operator, used only for the dimension
-    of an empty subspace.
+    The update makes no block apply: U = V_hat g with g = [g_U; g_V] gives
+    C = A U = C g_U + V_{j+1} (Hbar g_V), with U's columns and scaling, bound
+    to dec's operator (see `RecycleSubspace`). op is A's operator, used
+    only for the dimension of an empty subspace.
     """
     if k == 0:
         return RecycleSubspace.empty(as_operator(op).dim)
-    Vhat, AVhat = augmented_basis(dec, rec)
-    lhs, rhs = _pencil(Vhat, AVhat)
+    rec, lhs, rhs = _ritz_pencil(dec, rec)
     vectors, ranked = _ranked_pairs(lhs, rhs)
     if ranked.size == 0:
         raise RankDeficient("no harmonic Ritz value is finite")
     g = vectors[:, ranked[:k]]
-    U, C = Vhat @ g, AVhat @ g
+    U = np.concatenate([rec.U, dec.Vj], axis=1) @ g
+    C = rec.C @ g[:rec.k] + dec.V @ (dec.Hbar @ g[rec.k:])
     norms = np.linalg.norm(U, axis=0)
     if np.max(norms) == 0.0:
         raise RankDeficient("harmonic Ritz vectors are numerically zero")

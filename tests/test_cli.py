@@ -580,6 +580,18 @@ class TestMain:
         if case == "nan":
             assert f"{mfile}:3:" in err[0]
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "binary"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, case):
+        # one stderr line naming the config file, not a traceback
+        path = tmp_path / f"{case}.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "binary":
+            path.write_bytes(np.random.default_rng(0).bytes(300))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0]
+
     def test_graded_cluster_bounds_exit_2(self, tmp_path, capsys):
         # the small cluster is geometrically spaced, so a zero bound or
         # bounds of opposite sign are a config error, not a crash in the run

@@ -17,6 +17,7 @@ from rfom2 import (
     qr_orthonormalize,
     svd_values,
 )
+from rfom2.core import is_hermitian
 
 
 class TestLuSolve:
@@ -143,6 +144,15 @@ class TestEig:
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             eig_dense(M, hermitian=True)
+
+
+class TestIsHermitian:
+    def test_entries_past_sqrt_range(self):
+        # at 1e160 both Frobenius norms overflow as sqrt(x.x); nrm2 keeps
+        # them finite, so the test still tells the two matrices apart
+        for c in (1.0, 1e160, 1e-160):
+            assert not is_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]) * c)
+            assert is_hermitian(np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]) * c)
 
 
 class TestGeneralizedEig:

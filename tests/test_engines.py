@@ -17,8 +17,10 @@ from rfom2 import (
     arnoldi,
     arnoldi_direct,
     arnoldi_quad,
+    as_operator,
     augmented_basis,
     guarded_contour,
+    harmonic_ritz_pencil,
     harmonic_ritz_update,
     rfom_v1,
     rfom_v2,
@@ -38,12 +40,12 @@ from rfom2.core import (
     lu_solve,
 )
 from rfom2.engines import (
+    _augmented_pencil,
     _deflate,
     _folded_nodes,
     _node_factor,
     _node_weights,
     _pencil_node_sum,
-    _v2_pencil,
 )
 from rfom2.problems import (
     function_catalog,
@@ -342,8 +344,8 @@ class TestQuadIsV2OnEmptySubspace:
 
     def test_v2_pencil_of_empty_subspace(self):
         dec = self.problem("complex")
-        Vhat, E, F, Vhb = _v2_pencil(dec, RecycleSubspace.empty(64))
-        assert np.array_equal(Vhat, dec.Vj)
+        sub, E, F, Vhb = _augmented_pencil(dec, RecycleSubspace.empty(64))
+        assert np.array_equal(np.concatenate([sub.U, dec.Vj], axis=1), dec.Vj)
         assert np.array_equal(E, np.eye(dec.j))
         assert np.array_equal(F, dec.H)
         assert np.array_equal(Vhb, dec.beta * np.eye(dec.j, 1)[:, 0])
@@ -488,11 +490,11 @@ class TestRecycledEngines:
             U = rng.standard_normal((80, 8)) + 1j * rng.standard_normal((80, 8))
             U = U * (rng.uniform(1.0, 60.0, 8) * np.exp(2j * np.pi * rng.uniform(size=8)))
             rec = RecycleSubspace(U=U, C=A @ U)
-            Vhat, E, F, Vhb = _v2_pencil(dec, rec)
+            sub, E, F, Vhb = _augmented_pencil(dec, rec)
             assert is_hermitian(F) == normal
             terms = loop_node_terms(E, F, Vhb, self.rule.nodes,
                                     _node_weights(self.fun, self.rule))
-            ref = Vhat @ terms.sum(axis=0)
+            ref = np.concatenate([sub.U, dec.Vj], axis=1) @ terms.sum(axis=0)
             assert relerr(rfom_v2(dec, rec, self.fun, self.rule), ref) <= 1e-13
 
     def test_d_scaling_invariance(self):
@@ -575,9 +577,8 @@ class TestDeflation:
     def test_drops_exactly_the_krylov_columns(self, n_in, n_rand, seed):
         # U = [columns on K_j, random columns], its columns scaled at random:
         # the deflated subspace keeps one column per random column, stays
-        # consistent (A U' = C') and gives v2 the Galerkin result on
-        # span[U, V_j], which v1 computes from the random columns alone
-        # (v1 on the raw U meets an exactly singular system)
+        # consistent (A U' = C') and gives v1 and v2 the Galerkin result on
+        # span[U, V_j], which v1 also computes from the random columns alone
         rng = np.random.default_rng(seed)
         cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         R = cplx(50, n_rand)
@@ -589,11 +590,74 @@ class TestDeflation:
         assert np.linalg.norm(self.A @ out.U - out.C) <= 1e-12 * np.linalg.norm(out.C)
         x1 = rfom_v1(self.dec, RecycleSubspace.from_basis(self.A, R), self.fun, self.rule)
         assert relerr(rfom_v2(self.dec, rec, self.fun, self.rule), x1) <= 1e-10
+        assert relerr(rfom_v1(self.dec, rec, self.fun, self.rule), x1) <= 1e-10
 
     def test_full_rank_subspace_is_kept(self):
         rng = np.random.default_rng(17)
         rec = RecycleSubspace.from_basis(self.A, rng.standard_normal((50, 4)))
         assert _deflate(self.dec, rec) is rec
+
+    def test_v1_matches_v2_on_a_trimmed_sequence(self):
+        # a fixed matrix and a new right-hand side per problem: the carried
+        # harmonic Ritz subspace converges into K_j, and _deflate trims it
+        # from 8 to 6 columns on the last two problems; v1 reads the same
+        # deflated blocks as v2 (largest gap 2.8e-12, on problem 5)
+        n, j, k = 120, 30, 8
+        A = gen_graded_hermitian(n, small_count=10, seed=0).toarray()
+        op, rng = as_operator(A), np.random.default_rng(0)
+        rec, trimmed = RecycleSubspace.empty(n), 0
+        for _ in range(5):
+            dec = arnoldi(op, rng.standard_normal(n), j)
+            rule = trapezoid_contour(guarded_contour(np.linalg.eigvals(dec.H), 0.1, 0.0), 400)
+            trimmed += _deflate(dec, rec).k < rec.k
+            x2 = rfom_v2(dec, rec, self.fun, rule)
+            assert relerr(rfom_v1(dec, rec, self.fun, rule), x2) <= 1e-10
+            rec = harmonic_ritz_update(dec, rec, op, k)
+        assert trimmed == 2
+
+
+# Largest relative gap between the block-built pencils and the products of
+# the explicit pair from `augmented_basis`, over 3000 draws of
+# TestAugmentedPencil's problems: 1.1e-15.
+PENCIL_TOL = 1e-13
+
+
+class TestAugmentedPencil:
+    """`_augmented_pencil` and `harmonic_ritz_pencil`, built from small
+    blocks, against the products of the explicit V_hat and A V_hat."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cplx=st.booleans(), hermitian=st.booleans(), j=st.integers(2, 12),
+           n_in=st.integers(1, 3), n_rand=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_augmented_basis(self, cplx, hermitian, j, n_in, n_rand, seed):
+        # U = [columns on K_j, random columns], scaled at random, so that
+        # _deflate keeps only the random ones
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if cplx else x
+
+        if hermitian:
+            Q = np.linalg.qr(draw(40, 40))[0]
+            A = (Q * rng.uniform(0.5, 10.0, 40)) @ Q.conj().T
+            A = 0.5 * (A + A.conj().T)
+        else:
+            A = 5.0 * np.eye(40) + 2.0 * draw(40, 40) / np.sqrt(40)
+        dec = arnoldi(A, draw(40), j)
+        U = np.concatenate([dec.Vj @ draw(j, n_in), draw(40, n_rand)], axis=1) \
+            * rng.uniform(0.5, 3.0, n_in + n_rand)
+        rec = RecycleSubspace(U=U, C=A @ U)
+        sub, E, F, Vhb = _augmented_pencil(dec, rec)
+        Vhat, AVhat = augmented_basis(dec, rec)
+        assert sub.k == n_rand and Vhat.shape[1] == n_rand + j
+        Vh, AVh = Vhat.conj().T, AVhat.conj().T
+        assert relerr(E, Vh @ Vhat) <= PENCIL_TOL
+        assert relerr(F, Vh @ AVhat) <= PENCIL_TOL
+        assert relerr(Vhb, Vh @ dec.b) <= PENCIL_TOL
+        lhs, rhs = harmonic_ritz_pencil(dec, rec)
+        assert relerr(lhs, AVh @ AVhat) <= PENCIL_TOL
+        assert relerr(rhs, AVh @ Vhat) <= PENCIL_TOL
 
 
 class TestV3Identity:
@@ -742,7 +806,7 @@ class TestHermitianKernel:
             fun = function_catalog("invsqrt")
             rule = stieltjes_invsqrt(int(rng.integers(1, 31)))
         mu = _node_weights(fun, rule)
-        _, E, F, Vhb = _v2_pencil(dec, rec)
+        _, E, F, Vhb = _augmented_pencil(dec, rec)
         assert is_hermitian(E) and is_hermitian(F)
         loop = loop_node_terms(E, F, Vhb, rule.nodes, mu).sum(axis=0)
         assert relerr(_pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
@@ -796,7 +860,7 @@ class TestHermitianKernel:
         rng = np.random.default_rng(21)
         dec = arnoldi(A, rng.standard_normal(100), 15)
         rec = RecycleSubspace.from_basis(A, rng.standard_normal((100, 4)))
-        _, E, F, Vhb = _v2_pencil(dec, rec)
+        _, E, F, Vhb = _augmented_pencil(dec, rec)
         assert not is_hermitian(F) and not is_hermitian(dec.H)
         fun = function_catalog("exp")
         rule = trapezoid_contour(guarded_contour(np.linalg.eigvals(dec.H), 0.1, None), 64)

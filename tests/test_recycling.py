@@ -21,16 +21,17 @@ from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d
 
 
 def eig_update(dec, rec, op, k):
-    """Reference for `harmonic_ritz_update`: one general eig of the pencil
-    for every problem, Hermitian or not, with the same selection and
-    column clean-up, applied to C = A V_hat g as to U = V_hat g."""
+    """Reference for `harmonic_ritz_update`: one general eig of
+    `harmonic_ritz_pencil` for every problem, Hermitian or not, with the
+    same selection and column clean-up, applied to
+    C = A V_hat g = C g_U + V_{j+1} (Hbar g_V) as to U = V_hat g."""
     Vhat, AVhat = augmented_basis(dec, rec)
-    AVh = AVhat.conj().T
-    values, vectors = scipy.linalg.eig(AVh @ AVhat, AVh @ Vhat, check_finite=False)
+    m = Vhat.shape[1] - dec.j
+    values, vectors = scipy.linalg.eig(*harmonic_ritz_pencil(dec, rec), check_finite=False)
     order = np.argsort(np.abs(values))
     finite = [i for i in order if np.isfinite(values[i])]
     g = vectors[:, finite[:k]]
-    U, C = Vhat @ g, AVhat @ g
+    U, C = Vhat @ g, AVhat[:, :m] @ g[:m] + dec.V @ (dec.Hbar @ g[m:])
     norms = np.linalg.norm(U, axis=0)
     keep = norms > 1e-14 * np.max(norms)
     U, C = U[:, keep] / norms[keep], C[:, keep] / norms[keep]
