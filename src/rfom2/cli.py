@@ -87,9 +87,11 @@ class ExperimentConfig:
         names = [e.strip() for e in self.engines.split(",") if e.strip()]
         if not names:
             raise ParseError("config key 'engines': must be nonempty")
-        for e in names:
+        for i, e in enumerate(names):
             if e not in ENGINES:
                 raise ParseError(f"config key 'engines': unknown engine {e!r}")
+            if e in names[:i]:
+                raise ParseError(f"config key 'engines': {e!r} named twice")
         return names
 
 

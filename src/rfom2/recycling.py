@@ -63,7 +63,7 @@ def harmonic_ritz_update(dec, rec, op, k):
     U, C = U[:, keep] / norms[keep], C[:, keep] / norms[keep]
     sv = svd_values(U)
     if sv[-1] < 1e-12 * sv[0]:
-        # drop dependent columns via a rank-revealing QR of the selection
+        # unpivoted QR: drop each column nearly in the span of the ones before it
         Q, R = np.linalg.qr(U)
         diag = np.abs(np.diag(R))
         keep = diag > 1e-12 * np.max(diag)

@@ -67,6 +67,7 @@ class TestParseConfig:
                           ("function = cosh", "function"),
                           ("quad_kind = stieltjes\nfunction = inverse", "quad_kind"),
                           ("engines = arnoldi, gmres", "engines"),
+                          ("engines = v2, v2", "engines"),
                           ("n_quad = 1", "n_quad"),
                           ("quad_kind = stieltjes\nfunction = invsqrt\nn_quad = 0",
                            "n_quad"),
