@@ -16,9 +16,11 @@ class LinearOperator:
 
     `apply` takes a vector of length dim or an n x k block of vectors, and
     returns A v with the input's shape, so the callback must accept both.
-    The wrappers of `as_operator` compute A @ v, which does. The result
-    keeps the callback's dtype; for those wrappers that is numpy's
-    promotion of A's and v's dtypes, so a real A on a real v stays real.
+    The wrappers of `as_operator` compute A @ v, which does; on an exactly
+    Hermitian dense A a vector of A's dtype goes through BLAS symv/hemv
+    instead, equal to A @ v up to rounding. The result keeps the callback's
+    dtype; for those wrappers that is numpy's promotion of A's and v's
+    dtypes, so a real A on a real v stays real.
     """
 
     def __init__(self, dim, apply):
@@ -30,8 +32,20 @@ class LinearOperator:
         return np.asarray(out).reshape(np.shape(v))
 
 
+# BLAS kernels that read one triangle of a Hermitian matrix
+_ONE_TRIANGLE = {np.dtype(np.float64): scipy.linalg.blas.dsymv,
+                 np.dtype(np.complex128): scipy.linalg.blas.zhemv}
+
+
 def as_operator(A):
-    """Wrap an ndarray, sparse matrix or LinearOperator uniformly."""
+    """Wrap an ndarray, sparse matrix or LinearOperator uniformly.
+
+    The wrapper computes A @ v, except that a nonempty C-ordered float64 or
+    complex128 ndarray that is exactly Hermitian applies a vector of its
+    own dtype by BLAS symv/hemv on the Fortran view A.T, which reads one
+    triangle of A instead of all of it. Blocks, vectors of another dtype,
+    sparse, F-ordered and non-Hermitian matrices go through A @ v.
+    """
     if isinstance(A, LinearOperator):
         return A
     if scipy.sparse.issparse(A):
@@ -40,7 +54,20 @@ def as_operator(A):
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")
-    return LinearOperator(A.shape[0], lambda v: A @ v)
+    mv = _ONE_TRIANGLE.get(A.dtype)
+    if (mv is None or A.size == 0 or not A.flags.c_contiguous
+            or not scipy.linalg.ishermitian(A, atol=0, rtol=0)):
+        return LinearOperator(A.shape[0], lambda v: A @ v)
+    At = A.T  # conj(A), Hermitian too
+
+    def apply(v):
+        if not (isinstance(v, np.ndarray) and v.dtype == A.dtype and v.shape == A.shape[:1]):
+            return A @ v
+        # A v = conj(conj(A) conj(v)); on real data the conjugations do nothing
+        y = mv(1.0, At, v.conj())
+        return np.conjugate(y, out=y)
+
+    return LinearOperator(A.shape[0], apply)
 
 
 @dataclass
@@ -77,11 +104,13 @@ def arnoldi(op, b, j, reorth=True):
     """Build an orthonormal basis of K_j(A, b) by classical Gram-Schmidt.
 
     With reorth on, the classical pass is applied twice per new vector
-    (CGS2, "twice is enough"). Breakdown truncates the decomposition. V
-    and Hbar take the dtype of b and of the first product A v_1, so a
-    real operator and a real b give a real decomposition. The norms are
-    BLAS nrm2's, which scales as it sums, so A and b may have entries past
-    1e154, where sqrt(x.x) overflows.
+    (CGS2, "twice is enough"). Each pass is two BLAS gemv products on a
+    column-major V, h = V^H w and w - V h, so no conjugate copy of V is
+    made; the returned V is C-ordered, on breakdown too. Breakdown
+    truncates the decomposition. V and Hbar take the dtype of b and of the
+    first product A v_1, so a real operator and a real b give a real
+    decomposition. The norms are BLAS nrm2's, which scales as it sums, so A
+    and b may have entries past 1e154, where sqrt(x.x) overflows.
     """
     op = as_operator(op)
     b = np.asarray(b).reshape(-1)
@@ -95,18 +124,23 @@ def arnoldi(op, b, j, reorth=True):
 
     v = b / beta
     w = op.apply(v)
-    V = np.zeros((op.dim, j + 1), dtype=np.result_type(v, w))
+    V = np.zeros((op.dim, j + 1), dtype=np.result_type(v, w), order="F")
     Hbar = np.zeros((j + 1, j), dtype=V.dtype)
     V[:, 0] = v
+    gemv = scipy.linalg.blas.get_blas_funcs("gemv", (V,))
+    adjoint = 2 if np.iscomplexobj(V) else 1  # gemv's trans: V^H, or V^T
 
     for ell in range(j):
         if ell:
             w = op.apply(V[:, ell])
-        h = V[:, : ell + 1].conj().T @ w
-        w = w - V[:, : ell + 1] @ h
+        Vl = V[:, : ell + 1]
+        h = gemv(1.0, Vl, w, trans=adjoint)
+        # the first pass writes a new array, so an operator's output is
+        # never overwritten
+        w = gemv(-1.0, Vl, h, beta=1.0, y=w)
         if reorth:
-            h2 = V[:, : ell + 1].conj().T @ w
-            w = w - V[:, : ell + 1] @ h2
+            h2 = gemv(1.0, Vl, w, trans=adjoint)
+            w = gemv(-1.0, Vl, h2, beta=1.0, y=w, overwrite_y=True)
             h = h + h2
         Hbar[: ell + 1, ell] = h
         hnext = scipy.linalg.norm(w, check_finite=False)
@@ -123,7 +157,8 @@ def arnoldi(op, b, j, reorth=True):
         Hbar[ell + 1, ell] = hnext
         V[:, ell + 1] = w / hnext
 
-    return ArnoldiDecomposition(V=V, Hbar=Hbar, j=j, beta=float(beta), op=op)
+    return ArnoldiDecomposition(V=np.ascontiguousarray(V), Hbar=Hbar, j=j,
+                                beta=float(beta), op=op)
 
 
 def shifted_fom_solve(dec, sigma):

@@ -5,6 +5,7 @@ the inverse square root) so that every consumer uniformly computes
 sum_l w_l * f(z_l) * x(z_l).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,7 @@ def trapezoid_contour(contour, n_quad):
     )
 
 
+@functools.lru_cache(maxsize=64)
 def stieltjes_invsqrt(n_quad):
     """Quadrature rule for z^{-1/2} on the interval (-inf, 0].
 
@@ -83,7 +85,9 @@ def stieltjes_invsqrt(n_quad):
     integral of (t^2 + z)^{-1} over t in [0, inf)), then mapping
     t = (1 - u) / (1 + u) onto u in (-1, 1] and applying Gauss-Legendre.
     Nodes are negative reals; weights fold in all prefactors so that
-    sum_l w_l / (sigma_l - z) approximates z^{-1/2}.
+    sum_l w_l / (sigma_l - z) approximates z^{-1/2}. The rule depends on
+    n_quad alone, so it is built once per node count and shared; its
+    arrays are read-only.
     """
     if n_quad < 1:
         raise ValueError("need at least one node")
@@ -91,8 +95,11 @@ def stieltjes_invsqrt(n_quad):
     t = (1.0 - u) / (1.0 + u)
     sigma = -(t**2)
     weights = -(2.0 / np.pi) * w * 2.0 / (1.0 + u) ** 2
-    return QuadratureRule(nodes=sigma, weights=weights, kind="stieltjes",
+    rule = QuadratureRule(nodes=sigma, weights=weights, kind="stieltjes",
                           conjugate_partner=np.arange(n_quad))
+    for a in (rule.nodes, rule.weights, rule.conjugate_partner):
+        a.flags.writeable = False
+    return rule
 
 
 def _centre_imag(est, mean_imag):

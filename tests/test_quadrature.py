@@ -79,6 +79,14 @@ class TestStieltjes:
         assert np.allclose(rule.nodes.imag, 0.0)
         assert rule.kind == "stieltjes"
 
+    def test_built_once_per_node_count(self):
+        # the rule is shared between callers, so its arrays are read-only
+        rule = stieltjes_invsqrt(30)
+        assert stieltjes_invsqrt(30) is rule
+        for a in (rule.nodes, rule.weights, rule.conjugate_partner):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
 
 class TestContourSuggestion:
     def test_single_point(self):
