@@ -17,7 +17,8 @@ order. `rfom_v2`, and through it `arnoldi_quad` and `rfom_v3`, sums over
 all nodes at once from one decomposition of its pencil z E - F, whose E
 is Hermitian positive definite: one `eigh` when F is Hermitian, as it is
 for Hermitian A, and otherwise the Cholesky factor E = L L^* and one
-complex Schur form of L^{-1} F L^{-*}. `rfom_v3` is `rfom_v2` plus the
+complex Schur form of L^{-1} F L^{-*}. The harmonic Ritz update reduces
+its own non-Hermitian pencil by the same factor (`_cholesky_reduced`). `rfom_v3` is `rfom_v2` plus the
 plain Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
@@ -192,25 +193,37 @@ def _pencil_node_sum(E, F, rhs, nodes, mu):
     F Hermitian to `is_hermitian`'s 1e-12: one `eigh` gives F X = E X Lambda
     with X^* E X = I, so the sum is X (c * (R mu)), c = X^* rhs and
     R_il = 1/(z_l - lambda_i). Otherwise E = L L^* and the complex Schur
-    form L^{-1} F L^{-*} = Z T Z^* turn every node system into the
-    triangular (z_l I - T) y_l = Z^* L^{-1} rhs, back-substituted for all
-    nodes at once, and the sum is L^{-*} Z sum_l mu_l y_l. L is complex
-    like T and Z, so a real pencil and its complex cast share L, T and Z
-    and the conjugate fold changes only the node sum.
+    form L^{-1} F L^{-*} = Z T Z^* (`_cholesky_reduced`, shared with the
+    harmonic Ritz update) turn every node system into the triangular
+    (z_l I - T) y_l = Z^* L^{-1} rhs, back-substituted for all nodes at
+    once, and the sum is L^{-*} Z sum_l mu_l y_l. L is complex like T and
+    Z, so a real pencil and its complex cast share L, T and Z and the
+    conjugate fold changes only the node sum.
     """
     if is_hermitian(F):
         lam, X = scipy.linalg.eigh(F, E, check_finite=False)
         gap = _check_nodes(nodes, lam)
         return X @ ((X.conj().T @ rhs) * ((1.0 / gap) @ mu))
-    L = scipy.linalg.cholesky(E.astype(np.complex128), lower=True)
-    solve_l = partial(scipy.linalg.solve_triangular, L, lower=True, check_finite=False)
-    T, Z = scipy.linalg.schur(solve_l(solve_l(F).conj().T).conj().T, output="complex")
+    solve_l, M = _cholesky_reduced(E, F)
+    T, Z = scipy.linalg.schur(M, output="complex")
     gap = _check_nodes(nodes, np.diag(T))
     Y = np.empty((T.shape[0], nodes.size), dtype=np.complex128)
     c = Z.conj().T @ solve_l(rhs)
     for i in range(T.shape[0] - 1, -1, -1):
         Y[i] = (c[i] + T[i, i + 1:] @ Y[i + 1:]) / gap[i]
     return solve_l(Z @ (Y @ mu), trans="C")
+
+
+def _cholesky_reduced(E, F):
+    """(solve_l, M): the pencil (E, F), E = L L^* Hermitian positive definite
+    (else LinAlgError), reduced to the matrix M = L^{-1} F L^{-*} with the
+    same eigenvalues, F x = lambda E x for M h = lambda h and x = L^{-*} h.
+    solve_l(X) is L^{-1} X and solve_l(X, trans="C") is L^{-*} X. L is
+    complex, so a real pencil and its complex cast share L and M.
+    """
+    L = scipy.linalg.cholesky(E.astype(np.complex128), lower=True)
+    solve_l = partial(scipy.linalg.solve_triangular, L, lower=True, check_finite=False)
+    return solve_l, solve_l(solve_l(F).conj().T).conj().T
 
 
 def _check_nodes(nodes, lam):

@@ -382,9 +382,12 @@ class TestV1IsTheLuLoop:
         if kind == "complex":
             A = A + 1j * np.diag(rng.uniform(size=64))
         dec = arnoldi(A, rng.standard_normal(64), 12)
-        # harmonic Ritz vectors, complex on both matrices: nothing folds at k > 0
+        # harmonic Ritz vectors, complex on both matrices: nothing folds at
+        # k > 0. On the real matrix the 4th and 5th |theta| are a conjugate
+        # pair, which the update does not split, so it keeps 3 columns
         rec = harmonic_ritz_update(dec, RecycleSubspace.empty(64), A, k)
-        assert rec.k == k and (k == 0 or np.iscomplexobj(rec.U))
+        kept = k - 1 if kind == "real convdiff" and k else k
+        assert rec.k == kept and (k == 0 or np.iscomplexobj(rec.U))
         return arnoldi(A, rng.standard_normal(64), 12), rec
 
     @pytest.mark.one_blas_thread
