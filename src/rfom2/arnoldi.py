@@ -78,6 +78,12 @@ class ArnoldiDecomposition:
     the decomposition is truncated: the subdiagonal tail of Hbar and the
     trailing column of V are zero. `op` is the LinearOperator of A that
     built it, which the recycled engines compare with a subspace's.
+
+    `_memo` holds the projected pencils, and their decompositions, that
+    the engines and the harmonic Ritz update build on this decomposition
+    (`engines._projection`), so each is built once. V and Hbar are not
+    written in place once an engine has read them; a changed
+    decomposition is a new object, with an empty memo.
     """
 
     V: np.ndarray
@@ -86,6 +92,7 @@ class ArnoldiDecomposition:
     beta: float
     breakdown: bool = False
     op: LinearOperator | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def H(self):

@@ -4,22 +4,30 @@
 three recycled engines consume an additional augmentation subspace U with
 C = A U carried across problems, and `arnoldi_quad` is `rfom_v2` on an
 empty one. All engines are pure functions of (decomposition, subspace,
-function, rule), apart from one in-place refresh: a subspace whose C was
-computed for another operator than the decomposition's gets C = A U for
-the decomposition's operator, once, the first time any engine or the
-harmonic Ritz update reads it (`_current`); `rfom2 run` relies on this
-for its one refresh per changed matrix. Every engine but
-`arnoldi_direct`, and the harmonic Ritz update, reads one projection of A
-onto [U, V_j], U deflated against K_j by the eigenvalues of its k x k
-Gram block (`_augmented_pencil`). Only `rfom_v1`, the independent
-reference, accumulates its quadrature sum node by node, in ascending node
-order. `rfom_v2`, and through it `arnoldi_quad` and `rfom_v3`, sums over
-all nodes at once from one decomposition of its pencil z E - F, whose E
-is Hermitian positive definite: one `eigh` when F is Hermitian, as it is
-for Hermitian A, and otherwise the Cholesky factor E = L L^* and one
-complex Schur form of L^{-1} F L^{-*}. The harmonic Ritz update reduces
-its own non-Hermitian pencil by the same factor (`_cholesky_reduced`). `rfom_v3` is `rfom_v2` plus the
-plain Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
+function, rule), apart from one in-place refresh and one memo. The
+refresh: a subspace whose C was computed for another operator than the
+decomposition's gets C = A U for the decomposition's operator, once, the
+first time any engine or the harmonic Ritz update reads it (`_current`);
+`rfom2 run` relies on this for its one refresh per changed matrix. The
+memo: each projected pencil, and its decomposition, is built once per
+decomposition and kept in it (`_projection`), so the engines and the
+update read it in any order and get the bits of a fresh build. It rests
+on a contract: a decomposition's V and Hbar and a subspace's U and C are
+not written in place once an engine has read them; a new C is a new
+array, as `_current` makes it. Every engine but `arnoldi_direct`, and
+the harmonic Ritz update, reads one projection of A onto [U, V_j], U
+deflated against K_j by the eigenvalues of its k x k Gram block
+(`_augmented_pencil`); `arnoldi_direct` reads the empty subspace's
+decomposition, one of H_j, for a function evaluated through eigenvalues.
+Only `rfom_v1`, the independent reference, accumulates its quadrature sum
+node by node, in ascending node order. `rfom_v2`, and through it
+`arnoldi_quad` and `rfom_v3`, sums over all nodes at once from one
+decomposition of its pencil z E - F, whose E is Hermitian positive
+definite: one `eigh` when F is Hermitian, as it is for Hermitian A, and
+otherwise the Cholesky factor E = L L^* and one complex Schur form of
+L^{-1} F L^{-*}. The harmonic Ritz update reduces its own non-Hermitian
+pencil by the same factor (`_cholesky_reduced`). `rfom_v3` is `rfom_v2`
+plus the plain Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
 come in conjugate pairs, as on a trapezoid circle with a real centre, the
@@ -39,10 +47,12 @@ import scipy.linalg
 
 from .arnoldi import LinearOperator, as_operator
 from .core import (
+    IllConditionedEigenbasis,
     SingularMatrix,
     SingularProjector,
     SingularShift,
     SingularSystem,
+    eig_dense,
     gesv_solve,
     is_hermitian,
     lu_solve,
@@ -50,15 +60,57 @@ from .core import (
 from .quadrature import CONJUGATE_RTOL
 
 
+def _eigen_apply(scalar_f, w, P, B, unitary):
+    """P f(diag(w)) P^{-1} B, with f = scalar_f on the eigenvalues w and B a
+    vector or a block of columns; P^{-1} is P^* when P is unitary."""
+    fw = scalar_f(w).reshape((-1,) + (1,) * (np.ndim(B) - 1))
+    if unitary:
+        return P @ (fw * (P.conj().T @ B))
+    return P @ (fw * np.linalg.solve(P, B))
+
+
+class _EigenRoute:
+    """dense_f through an eigendecomposition M = P diag(w) P^{-1}, scalar_f
+    on the eigenvalues: `eigh` when M is Hermitian to `is_hermitian`'s
+    1e-12, else `eig`, which raises IllConditionedEigenbasis when cond(P)
+    is not below 1e10. `arnoldi_direct` evaluates it from the memo's
+    decomposition of H_j instead of decomposing H_j again."""
+
+    def __init__(self, scalar_f):
+        self.scalar_f = scalar_f
+
+    def __call__(self, M):
+        M = np.asarray(M)
+        if M.shape[0] == 0:
+            return M.copy()
+        hermitian = is_hermitian(M)
+        w, P = eig_dense(M, hermitian=hermitian)
+        return self.apply(w, P, np.eye(M.shape[0]), unitary=hermitian)
+
+    def apply(self, w, P, B, unitary):
+        """f(M) B from M = P diag(w) P^{-1}, with the cond(P) cut when P is
+        not unitary."""
+        if not unitary:
+            cond = np.linalg.cond(P)
+            if not np.isfinite(cond) or cond >= 1e10:
+                raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
+        return _eigen_apply(self.scalar_f, w, P, B, unitary)
+
+
 @dataclass
 class FunctionSpec:
     """Evaluators of one matrix function: scalar_f at every point of a
-    scalar or an array, dense_f on a small square array."""
+    scalar or an array, dense_f on a small square array. A dense_f left at
+    None becomes the `_EigenRoute` of scalar_f."""
 
     name: str
     scalar_f: callable
-    dense_f: callable
+    dense_f: callable = None
     singularity: complex | None = 0.0 + 0.0j
+
+    def __post_init__(self):
+        if self.dense_f is None:
+            self.dense_f = _EigenRoute(self.scalar_f)
 
 
 @dataclass
@@ -70,7 +122,9 @@ class RecycleSubspace:
     and `harmonic_ritz_update` set it, and an engine run on a
     decomposition of another operator first replaces C, in place, by that
     operator applied to U (one block apply per subspace and operator). A C
-    supplied without `op` is trusted as it stands.
+    supplied without `op` is trusted as it stands. U and C are not written
+    in place once an engine has read them: a decomposition's memo keys its
+    pencil on their identity, so a changed C must be a new array.
     """
 
     U: np.ndarray
@@ -137,9 +191,28 @@ def _node_factor(fun, rule):
 
 
 def arnoldi_direct(dec, fun):
-    """||b|| V_j f(H_j) e_1, with f evaluated densely on the Hessenberg matrix."""
-    fH = fun.dense_f(dec.H)
-    return dec.beta * (dec.Vj @ fH[:, 0])
+    """||b|| V_j f(H_j) e_1, with f evaluated densely on the Hessenberg matrix.
+
+    An `_EigenRoute` f reads H_j's decomposition off the memo: the empty
+    subspace's pencil is (I_j, H_j), which `arnoldi_quad` decomposes too.
+    Hermitian H_j gives H_j = X diag(lambda) X^*; otherwise the Cholesky
+    factor of I_j is I_j, the complex Schur form is H_j = Z T Z^*, and one
+    `eig` of the triangular T = X diag(w) X^{-1} gives P = Z X. Any other
+    dense_f, and a real non-Hermitian H_j, whose real `eig` keeps f(H_j)
+    real where its eigenvalues are and a complex Schur form would not, call
+    dense_f on H_j.
+    """
+    if not isinstance(fun.dense_f, _EigenRoute) \
+            or (np.isrealobj(dec.Hbar) and not is_hermitian(dec.H)):
+        return dec.beta * (dec.Vj @ fun.dense_f(dec.H)[:, 0])
+    T, Z, solve_l = _projection(dec, RecycleSubspace.empty(dec.V.shape[0])).form()
+    e1 = np.eye(dec.j, 1)[:, 0]
+    if solve_l is None:  # T holds the eigenvalues
+        y = fun.dense_f.apply(T, Z, e1, unitary=True)
+    else:
+        w, X = eig_dense(T)
+        y = fun.dense_f.apply(w, Z @ X, e1, unitary=False)
+    return dec.beta * (dec.Vj @ y)
 
 
 def arnoldi_quad(dec, fun, rule):
@@ -158,7 +231,8 @@ def rfom_v1(dec, rec, fun, rule):
     U*b, as one block, giving L = [L_M, L_b]. The projected j x j system
     (z I - H - K L_M) y = beta e_1 - K L_b, K = z V_j*U - V_j*C, gives the
     Krylov coefficients y, and L_b - L_M y the subspace coefficients. At
-    k = 0 the projector is empty and the j x j system is z I - H.
+    k = 0 the projector is empty, nothing is subtracted, and the j x j
+    system is z I - H.
     """
     rec, E, F, Vhb = _augmented_pencil(dec, rec)
     j, k = dec.j, rec.k
@@ -168,44 +242,67 @@ def rfom_v1(dec, rec, fun, rule):
     t2 = np.zeros(k, dtype=np.complex128)
     nodes, weights, folded = _folded_nodes(fun, rule, dec, rec)
     for z, mu in zip(nodes, weights):
-        P = z * P1 - P0  # [z U*U - U*C, z U*V_j - U*V Hbar, U*b]
-        try:
-            L = gesv_solve(P[:, :k], P[:, k:])
-        except SingularMatrix as exc:
-            raise SingularProjector(f"projector block singular at node {z}") from exc
         Q = z * E[k:] - F[k:]  # [K, z I - H]
-        K = Q[:, :k]
+        M, r = Q[:, k:], Vhb[k:]
+        if k:
+            P = z * P1 - P0  # [z U*U - U*C, z U*V_j - U*V Hbar, U*b]
+            try:
+                L = gesv_solve(P[:, :k], P[:, k:])
+            except SingularMatrix as exc:
+                raise SingularProjector(f"projector block singular at node {z}") from exc
+            K = Q[:, :k]
+            M, r = M - K @ L[:, :j], r - K @ L[:, j]
         try:
-            y = lu_solve(Q[:, k:] - K @ L[:, :j], Vhb[k:] - K @ L[:, j])
+            y = lu_solve(M, r)
         except SingularMatrix as exc:
             raise SingularShift(f"inner system singular at node {z}") from exc
         t1 += mu * y
-        t2 += mu * (L[:, j] - L[:, :j] @ y)
+        if k:
+            t2 += mu * (L[:, j] - L[:, :j] @ y)
     out = dec.Vj @ t1 + rec.U @ t2
     return out.real if folded else out
 
 
 def _pencil_node_sum(E, F, rhs, nodes, mu):
-    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once. E must be
-    Hermitian positive definite (else LinAlgError), and a node on the
-    pencil's spectrum raises SingularSystem (`_check_nodes`).
+    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once: the node sum
+    over the pencil's decomposition, `_node_sum(_decompose(E, F), ...)`."""
+    return _node_sum(_decompose(E, F), rhs, nodes, mu)
 
-    F Hermitian to `is_hermitian`'s 1e-12: one `eigh` gives F X = E X Lambda
-    with X^* E X = I, so the sum is X (c * (R mu)), c = X^* rhs and
-    R_il = 1/(z_l - lambda_i). Otherwise E = L L^* and the complex Schur
-    form L^{-1} F L^{-*} = Z T Z^* (`_cholesky_reduced`, shared with the
-    harmonic Ritz update) turn every node system into the triangular
-    (z_l I - T) y_l = Z^* L^{-1} rhs, back-substituted for all nodes at
-    once, and the sum is L^{-*} Z sum_l mu_l y_l. L is complex like T and
-    Z, so a real pencil and its complex cast share L, T and Z and the
-    conjugate fold changes only the node sum.
+
+def _decompose(E, F):
+    """(T, Z, solve_l), the decomposition of the pencil z E - F that
+    `_node_sum` reads. E must be Hermitian positive definite (else
+    LinAlgError).
+
+    F Hermitian to `is_hermitian`'s 1e-12: one `eigh` gives F Z = E Z T
+    with Z^* E Z = I and T the vector of eigenvalues, and solve_l is None.
+    Otherwise E = L L^* and the complex Schur form L^{-1} F L^{-*} = Z T Z^*
+    (`_cholesky_reduced`, shared with the harmonic Ritz update), with
+    solve_l(X) = L^{-1} X. L is complex like T and Z, so a real pencil and
+    its complex cast share L, T and Z and the conjugate fold changes only
+    the node sum.
     """
     if is_hermitian(F):
         lam, X = scipy.linalg.eigh(F, E, check_finite=False)
-        gap = _check_nodes(nodes, lam)
-        return X @ ((X.conj().T @ rhs) * ((1.0 / gap) @ mu))
+        return lam, X, None
     solve_l, M = _cholesky_reduced(E, F)
     T, Z = scipy.linalg.schur(M, output="complex")
+    return T, Z, solve_l
+
+
+def _node_sum(form, rhs, nodes, mu):
+    """sum_l mu_l (z_l E - F)^{-1} rhs from the pencil's `_decompose` form;
+    a node on the pencil's spectrum raises SingularSystem (`_check_nodes`).
+
+    Hermitian: the sum is Z (c * (R mu)), c = Z^* rhs and
+    R_il = 1/(z_l - T_i). Otherwise every node system becomes the
+    triangular (z_l I - T) y_l = Z^* L^{-1} rhs, back-substituted for all
+    nodes at once, and the sum is L^{-*} Z sum_l mu_l y_l.
+    """
+    T, Z, solve_l = form
+    if solve_l is None:
+        gap = _check_nodes(nodes, T)
+        return Z @ ((Z.conj().T @ rhs) * ((1.0 / gap) @ mu))
     gap = _check_nodes(nodes, np.diag(T))
     Y = np.empty((T.shape[0], nodes.size), dtype=np.complex128)
     c = Z.conj().T @ solve_l(rhs)
@@ -272,15 +369,56 @@ def _folded_nodes(fun, rule, dec, rec=None):
 def _augmented_pencil(dec, rec):
     """(rec', E, F, V_hat^* b): A projected onto V_hat = [U', V_j], with
     rec' = (U', C') the subspace deflated against K_j, as the pencil
-    V_hat^* (z I - A) V_hat = z E - F. The blocks come from C = A U, the
-    V_j blocks filled analytically: V_j^* V_j = I,
+    V_hat^* (z I - A) V_hat = z E - F, from the memo (`_projection`). E,
+    F and V_hat^* b are read-only."""
+    return _projection(dec, rec).pencil
+
+
+class _Projection:
+    """A memo entry: the pencil of one subspace on one decomposition, and
+    the `_decompose` form of that pencil once an engine reads it."""
+
+    def __init__(self, source, pencil):
+        self.source, self.pencil, self._form = source, pencil, None
+        for a in pencil[1:]:
+            a.flags.writeable = False
+
+    def form(self):
+        if self._form is None:
+            self._form = _decompose(*self.pencil[1:3])
+            for a in self._form[:2]:
+                a.flags.writeable = False
+        return self._form
+
+
+def _projection(dec, rec):
+    """The memo entry of rec on dec, built on the first read.
+
+    The key is the identity of rec, rec.U and rec.C, after `_current` has
+    made C A U for dec's operator, so a replaced C, a new subspace or a new
+    decomposition builds anew; the entry holds those three objects, so
+    their identities stay unique while it lives. Every empty subspace of
+    one dtype shares one entry: `RecycleSubspace.empty` makes a new object
+    on each call.
+    """
+    rec = _current(dec, rec)
+    source = (rec, rec.U, rec.C)
+    key = (rec.U.dtype, rec.C.dtype) if rec.k == 0 else tuple(map(id, source))
+    entry = dec._memo.get(key)
+    if entry is None or (rec.k and any(a is not b for a, b in zip(entry.source, source))):
+        entry = dec._memo[key] = _Projection(source, _build_pencil(dec, rec))
+    return entry
+
+
+def _build_pencil(dec, rec):
+    """`_augmented_pencil`, built: the blocks come from C = A U, the V_j
+    blocks filled analytically: V_j^* V_j = I,
     V_j^* A V_j = V_j^* V_{j+1} Hbar = H and V_j^* b = beta e_1. A caller
     that needs V_hat forms [U', V_j]. The deflation reads the k x k blocks:
     X, the eigenvectors of S = U^*U - (V_j^*U)^*(V_j^*U) that pass
     `DEFLATION_TOL`'s cut, gives U' = U X, C' = C X and the U blocks'
     congruence by X; rec' is rec when X keeps every column.
     """
-    rec = _current(dec, rec)
     U, C, j = rec.U, rec.C, dec.j
     Uh, Vjh = U.conj().T, dec.Vj.conj().T
     UU, UV, VjU, UC, VjC, Ub = Uh @ U, Uh @ dec.V, Vjh @ U, Uh @ C, Vjh @ C, Uh @ dec.b
@@ -303,11 +441,13 @@ def rfom_v2(dec, rec, fun, rule):
 
     The node systems form the pencil z E - F of `_augmented_pencil`, and
     one `eigh`, or one Cholesky factor and complex Schur form, of it serves
-    all of them (`_pencil_node_sum`).
+    all of them (`_node_sum`); the memo keeps that decomposition for the
+    next engine on the same subspace.
     """
-    rec, E, F, Vhb = _augmented_pencil(dec, rec)
+    entry = _projection(dec, rec)
+    rec, _, _, Vhb = entry.pencil
     nodes, mu, folded = _folded_nodes(fun, rule, dec, rec)
-    y = _pencil_node_sum(E, F, Vhb, nodes, mu)
+    y = _node_sum(entry.form(), Vhb, nodes, mu)
     return np.concatenate([rec.U, dec.Vj], axis=1) @ (y.real if folded else y)
 
 

@@ -16,10 +16,9 @@ from .core import (
     UnknownFunction,
     UnsupportedFormat,
     eig_dense,
-    is_hermitian,
     lu_solve,
 )
-from .engines import FunctionSpec
+from .engines import FunctionSpec, _eigen_apply
 
 # rfom2 run computes no oracle above ORACLE_MAX_N, and oracle_eig takes
 # no non-Hermitian matrix above ORACLE_GENERAL_MAX_N
@@ -266,30 +265,12 @@ def oracle_apply(fun, eig, b, hermitian=False):
 
     Eigenvalues at a singularity of f raise FunctionUndefined.
     """
-    w, V = eig
-    fw = fun.scalar_f(w).reshape((-1,) + (1,) * (np.ndim(b) - 1))
-    if hermitian:
-        return V @ (fw * (V.conj().T @ b))
-    return V @ (fw * np.linalg.solve(V, b))
+    return _eigen_apply(fun.scalar_f, *eig, b, unitary=hermitian)
 
 
 def oracle_funm(A, fun, b, hermitian=False):
     """Reference f(A) b through a dense eigendecomposition."""
     return oracle_apply(fun, oracle_eig(A, hermitian), b, hermitian)
-
-
-def _dense_via_eig(fun, M):
-    """f(M) for a small dense M via (symmetry-aware) eigendecomposition."""
-    M = np.asarray(M)
-    if M.shape[0] == 0:
-        return M.copy()
-    hermitian = is_hermitian(M)
-    w, P = eig_dense(M, hermitian=hermitian)
-    if not hermitian:
-        cond = np.linalg.cond(P)
-        if not np.isfinite(cond) or cond >= 1e10:
-            raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
-    return oracle_apply(fun, (w, P), np.eye(M.shape[0]), hermitian)
 
 
 def _dense_inverse(M):
@@ -300,15 +281,16 @@ def _dense_inverse(M):
         raise FunctionUndefined("matrix has an eigenvalue at 0") from exc
 
 
-# f on scalars and arrays, and whether f is undefined at the origin
+# f on scalars and arrays, whether f is undefined at the origin
 # (|z| < 1e-300) and on the cut (-inf, 0) of the principal branch
-# (Re z < 0 and |Im z| < 1e-14 max(|z|, 1))
+# (Re z < 0 and |Im z| < 1e-14 max(|z|, 1)), and its dense_f: None is the
+# eigen route on scalar_f (`engines._EigenRoute`)
 _CATALOG = {
-    "inverse": (lambda z: 1.0 / z, True, False),
-    "invsqrt": (lambda z: 1.0 / np.sqrt(z), True, True),
-    "sqrt": (np.sqrt, False, True),
-    "log": (np.log, True, True),
-    "exp": (np.exp, False, False),
+    "inverse": (lambda z: 1.0 / z, True, False, _dense_inverse),
+    "invsqrt": (lambda z: 1.0 / np.sqrt(z), True, True, None),
+    "sqrt": (np.sqrt, False, True, None),
+    "log": (np.log, True, True, None),
+    "exp": (np.exp, False, False, None),
 }
 
 
@@ -318,11 +300,10 @@ def function_catalog(name):
     where f is undefined."""
     if name == "sign_via_invsqrt":
         invsqrt = function_catalog("invsqrt")
-        return FunctionSpec(name=name, scalar_f=lambda z: z * invsqrt.scalar_f(z ** 2),
-                            dense_f=lambda M: M @ invsqrt.dense_f(M @ M))
+        return FunctionSpec(name=name, scalar_f=lambda z: z * invsqrt.scalar_f(z ** 2))
     if name not in _CATALOG:
         raise UnknownFunction(name)
-    f, origin, cut = _CATALOG[name]
+    f, origin, cut, dense_f = _CATALOG[name]
 
     def scalar_f(z):
         z = np.asarray(z)
@@ -333,8 +314,5 @@ def function_catalog(name):
             raise FunctionUndefined(f"{name} undefined at {z[bad].flat[0]}")
         return f(z)
 
-    fun = FunctionSpec(name=name, scalar_f=scalar_f, dense_f=_dense_inverse,
-                       singularity=None if name == "exp" else 0.0 + 0.0j)
-    if name != "inverse":
-        fun.dense_f = lambda M: _dense_via_eig(fun, M)
-    return fun
+    return FunctionSpec(name=name, scalar_f=scalar_f, dense_f=dense_f,
+                        singularity=None if name == "exp" else 0.0 + 0.0j)

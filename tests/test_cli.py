@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import rfom2.cli
 import rfom2.engines
@@ -317,6 +318,25 @@ class TestRunExperiment:
         assert statuses[(1, "oracle")].startswith("error:FunctionUndefined")
         assert statuses[(2, "oracle")].startswith("error:FunctionUndefined")
         assert (2, "arnoldi_q") in statuses  # sequence was not aborted
+
+    def test_ill_conditioned_oracle_row(self, tmp_path):
+        # an upper bidiagonal matrix with 30 close eigenvalues in [1, 2]:
+        # its eigenvector condition, about 1.8e12, is past the oracle's
+        # 1e8, so each problem gets an oracle row, while the engines, whose
+        # H_j is far better conditioned, and the update still run
+        n = 30
+        A = scipy.sparse.diags([np.linspace(1.0, 2.0, n), 0.5 * np.ones(n - 1)], [0, 1])
+        mfile = tmp_path / "bidiagonal.mtx"
+        save_matrix_market(mfile, A)
+        cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
+                               function="log", j=8, k=2, n_quad=64, n_problems=2,
+                               engines="arnoldi,arnoldi_q,v2",
+                               output=str(tmp_path / "out.csv"))
+        report = run_experiment(cfg)
+        statuses = [(r["problem_index"], r["engine"], r["status"]) for r in report.rows]
+        assert statuses == [(i, e, "error:IllConditionedEigenbasis" if e == "oracle" else "ok")
+                            for i in (1, 2) for e in ("oracle", "arnoldi", "arnoldi_q", "v2")]
+        assert report.select(engine="v2", problem_index=2)[0]["k"] > 0
 
     def test_recycle_failure_rows(self, tmp_path, monkeypatch):
         # the first harmonic Ritz update and the first subspace angle fail:

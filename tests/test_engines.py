@@ -1,5 +1,6 @@
 """The five f(A)b engines and their reduction/equivalence identities."""
 
+import copy
 import dataclasses
 import itertools
 
@@ -30,8 +31,10 @@ from rfom2 import (
     trapezoid_contour,
 )
 from rfom2 import engines
-from rfom2.cli import ENGINES
+from rfom2.cli import ENGINES, ExperimentConfig, sweep_quadrature
 from rfom2.core import (
+    IllConditionedEigenbasis,
+    RFOMError,
     SingularMatrix,
     SingularProjector,
     SingularShift,
@@ -242,6 +245,19 @@ class TestArnoldiDirect:
         dec = arnoldi(np.zeros((3, 3)), b, 2)
         x = arnoldi_direct(dec, function_catalog("exp"))
         assert np.allclose(x, b, atol=1e-14)
+
+    def test_real_eigenvalues_of_a_real_h_keep_f_real(self):
+        # K_2(A, e_2) is invariant, H_2 = [[3, 0], [1, 2]]: real, not
+        # Hermitian, with real eigenvalues, so log(H_2) is real
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
+        b = np.array([0.0, 1.0, 0.0])
+        dec = arnoldi(A, b, 2)
+        fun = function_catalog("log")
+        x = arnoldi_direct(dec, fun)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, dec.beta * (dec.Vj @ fun.dense_f(dec.H)[:, 0]))
+        w, P = np.linalg.eig(A)
+        assert relerr(x, (P * np.log(w)) @ np.linalg.solve(P, b)) <= 1e-14
 
     def test_exhaustion_equals_inverse(self):
         rng = np.random.default_rng(2)
@@ -1026,3 +1042,175 @@ def test_v1_singular_projector_raises_without_a_warning():
     rec = RecycleSubspace(U=U, C=U @ np.array([[z0.real, 1.0], [0.0, z0.real]]))
     with pytest.raises(SingularProjector):
         rfom_v1(dec, rec, function_catalog("inverse"), rule)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every pencil build, as ("pencil", rec), and every pencil
+    decomposition, as ("form", size), in the order they happen."""
+    calls = []
+    build, decompose = engines._build_pencil, engines._decompose
+
+    def counted_build(dec, rec):
+        calls.append(("pencil", rec))
+        return build(dec, rec)
+
+    def counted_decompose(E, F):
+        calls.append(("form", E.shape[0]))
+        return decompose(E, F)
+
+    monkeypatch.setattr(engines, "_build_pencil", counted_build)
+    monkeypatch.setattr(engines, "_decompose", counted_decompose)
+    return calls
+
+
+def run_engine(name, dec, rec, fun, rule, op=None):
+    """An engine's output, the update's (U, C) with name "update", or the
+    name of the error either raises."""
+    try:
+        if name == "update":
+            new = harmonic_ritz_update(dec, rec, op, 3)
+            return new.U, new.C
+        return ENGINES[name](dec, rec, fun, rule)
+    except (RFOMError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def same_bits(x, y):
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and all(map(same_bits, x, y))
+    if isinstance(x, str) or isinstance(y, str):
+        return x == y
+    return x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestMemo:
+    """Each projected pencil is built, and decomposed, once per Arnoldi
+    decomposition and subspace, whatever reads it and in whatever order,
+    and a memo read gives the bits of a fresh build."""
+
+    @staticmethod
+    def problem(k=4):
+        # complex non-normal: the Schur kernel, and a harmonic Ritz U
+        rng = np.random.default_rng(41)
+        A = gen_convection_diffusion_2d(8, convection=1.0) + 1j * np.diag(rng.uniform(size=64))
+        op = as_operator(A)
+        rec = harmonic_ritz_update(arnoldi(op, rng.standard_normal(64), 12),
+                                   RecycleSubspace.empty(64), op, k)
+        dec = arnoldi(op, rng.standard_normal(64), 12)
+        fun = function_catalog("log")
+        rule = trapezoid_contour(
+            guarded_contour(np.linalg.eigvals(dec.H), 0.1, fun.singularity), 200)
+        return op, dec, rec, fun, rule
+
+    def test_update_and_five_engines_build_each_pencil_once(self, builds):
+        op, dec, rec, fun, rule = self.problem()
+        builds.clear()
+        assert rec.k == 4
+        for name in ("update", "arnoldi", "arnoldi_q", "v1", "v2", "v3"):
+            assert not isinstance(run_engine(name, dec, rec, fun, rule, op), str), name
+        pencils = [r for kind, r in builds if kind == "pencil"]
+        assert len(pencils) == 2 and pencils[0] is rec and pencils[1].k == 0
+        assert sorted(size for kind, size in builds if kind == "form") == [12, 16]
+
+    def test_empty_subspace_once_per_decomposition(self, builds):
+        _, dec, _, fun, rule = self.problem()
+        builds.clear()
+        for name in ("arnoldi", "arnoldi_q", "v1", "v2", "v3"):
+            ENGINES[name](dec, RecycleSubspace.empty(64), fun, rule)
+        assert builds == [("pencil", builds[0][1]), ("form", 12)]
+        arnoldi_quad(arnoldi(dec.op, dec.b, 12), fun, rule)  # a new decomposition
+        assert [kind for kind, _ in builds] == ["pencil", "form"] * 2
+
+    def test_new_subspace_builds_anew(self, builds):
+        _, dec, rec, fun, rule = self.problem()
+        builds.clear()
+        x = rfom_v2(dec, rec, fun, rule)
+        same = RecycleSubspace(U=rec.U, C=rec.C, op=rec.op)
+        assert np.array_equal(rfom_v2(dec, same, fun, rule), x)
+        assert [r for kind, r in builds if kind == "pencil"] == [rec, same]
+
+    def test_replaced_c_builds_anew(self, builds):
+        # a subspace without an operator, whose C is then replaced by a new
+        # array: the same rec and U on the same decomposition
+        _, dec, rec, fun, rule = self.problem()
+        builds.clear()
+        rec = RecycleSubspace(U=rec.U, C=rec.C)
+        x = rfom_v1(dec, rec, fun, rule)
+        rec.C = 2.0 * rec.C
+        fresh = copy.deepcopy((dec, rec))
+        y = rfom_v1(dec, rec, fun, rule)
+        assert not np.allclose(x, y)
+        assert np.array_equal(y, rfom_v1(*fresh, fun, rule))
+        assert [kind for kind, _ in builds].count("pencil") == 3
+
+    def test_new_decomposition_builds_anew(self, builds):
+        op, dec, rec, fun, rule = self.problem()
+        builds.clear()
+        rfom_v2(dec, rec, fun, rule)
+        rfom_v2(arnoldi(op, dec.b, 12), rec, fun, rule)
+        assert [kind for kind, _ in builds] == ["pencil", "form"] * 2
+
+    def test_sweep_builds_each_pencil_once(self, builds, tmp_path):
+        # three node counts, one decomposition: the empty subspace's pencil
+        # and that of the oracle's eigenvectors
+        cfg = ExperimentConfig(problem="graded_hermitian", n=120, small_count=6,
+                               small_min=1.0, small_max=1.2, bulk_min=15.0,
+                               bulk_max=60.0, function="invsqrt", quad_kind="stieltjes",
+                               j=10, k=6, engines="arnoldi,arnoldi_q,v1,v2,v3", seed=2,
+                               output=str(tmp_path / "out.csv"))
+        report = sweep_quadrature(cfg, [5, 10, 20])
+        assert len(report.rows) == 15 and not report.has_failures
+        assert sorted(r.k for kind, r in builds if kind == "pencil") == [0, 6]
+        assert sorted(size for kind, size in builds if kind == "form") == [10, 16]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["real hermitian", "real non-normal",
+                                 "complex hermitian", "complex non-normal"]),
+           k=st.integers(0, 4),
+           order=st.permutations(["update", "arnoldi", "arnoldi_q", "v1", "v2", "v3"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shared_memo_gives_the_bits_of_fresh_copies(self, kind, k, order, seed):
+        rng = np.random.default_rng(seed)
+        A = real_matrix(rng, kind.endswith("hermitian"))
+        if kind == "complex hermitian":
+            S = 0.05 * rng.standard_normal((40, 40)) / np.sqrt(40)
+            A = A + 1j * (S - S.T)
+        elif kind == "complex non-normal":
+            A = A + 1j * np.diag(rng.uniform(size=40))
+        dec = arnoldi(A, rng.standard_normal(40), 10)
+        U = rng.standard_normal((40, k))
+        # C belongs to another wrapper of A, so the first read refreshes it
+        rec = RecycleSubspace.from_basis(A, U if kind.startswith("real") else U + 1j * U[::-1])
+        fun = function_catalog("log")
+        rule = trapezoid_contour(
+            guarded_contour(np.linalg.eigvals(dec.H), 0.1, fun.singularity), 64)
+        fresh = {name: copy.deepcopy((dec, rec)) for name in order}
+        shared = {name: run_engine(name, dec, rec, fun, rule, A) for name in order}
+        for name in order:
+            alone = run_engine(name, *fresh[name], fun, rule, A)
+            assert same_bits(shared[name], alone), (name, order)
+
+
+class TestEigenbasisCut:
+    """f(H) through an eigenbasis P is refused when cond(P) reaches 1e10;
+    inverse goes through LU and is not."""
+
+    @staticmethod
+    def nearly_defective():
+        # the block [[2, 1], [0, 2 + 1e-12]] has an eigenvector condition
+        # near 2e12, and K_2(A, e_2) is its invariant subspace
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0 + 1e-12, 0.0], [0.0, 0.0, 5.0]])
+        b = np.array([0.0, 1.0, 0.0])
+        return A, b, arnoldi(A, b, 2)
+
+    def test_log_raises(self):
+        _, _, dec = self.nearly_defective()
+        assert dec.j == 2 and not is_hermitian(dec.H)
+        with pytest.raises(IllConditionedEigenbasis):
+            arnoldi_direct(dec, function_catalog("log"))
+
+    def test_inverse_goes_through_lu(self):
+        A, b, dec = self.nearly_defective()
+        x = arnoldi_direct(dec, function_catalog("inverse"))
+        assert relerr(x, np.linalg.solve(A, b)) <= 1e-14

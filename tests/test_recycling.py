@@ -1,5 +1,7 @@
 """Harmonic Ritz subspace updates and principal angles."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,9 +20,11 @@ from rfom2 import (
     subspace_angle,
     svd_values,
 )
+from rfom2 import engines
 from rfom2.core import RankDeficient, is_hermitian
-from rfom2.engines import _cholesky_reduced
-from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d
+from rfom2.engines import _cholesky_reduced, rfom_v2
+from rfom2.problems import function_catalog, gen_convection_diffusion_2d, gen_laplacian_2d
+from rfom2.quadrature import guarded_contour, trapezoid_contour
 from rfom2.recycling import TIE_RTOL, _selected_pairs
 
 
@@ -351,3 +355,44 @@ class TestTieAtTheCut:
             assert new.k == 6
             ref = eig_update(dec, rec, 6, reduced=True, untie=False)
             assert np.array_equal(new.U, ref.U) and np.array_equal(new.C, ref.C)
+
+
+class TestMemo:
+    """The update reads the pencil that an engine built on the same
+    decomposition and subspace, and gets the bits of a fresh build."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(43)
+        A = gen_convection_diffusion_2d(8, 1.0) + 1j * np.diag(rng.uniform(size=64))
+        op = as_operator(A)
+        rec = harmonic_ritz_update(arnoldi(op, rng.standard_normal(64), 12),
+                                   RecycleSubspace.empty(64), op, 4)
+        return op, arnoldi(op, rng.standard_normal(64), 12), rec
+
+    def test_update_reads_the_engines_pencil(self, monkeypatch):
+        op, dec, rec = self.problem()
+        fresh = copy.deepcopy((dec, rec))
+        built, build = [], engines._build_pencil
+        monkeypatch.setattr(engines, "_build_pencil",
+                            lambda *args: built.append(args[1]) or build(*args))
+        fun = function_catalog("log")
+        rule = trapezoid_contour(
+            guarded_contour(np.linalg.eigvals(dec.H), 0.1, fun.singularity), 100)
+        rfom_v2(dec, rec, fun, rule)
+        new = harmonic_ritz_update(dec, rec, op, 4)
+        assert built == [rec]
+        alone = harmonic_ritz_update(*fresh, op, 4)
+        assert np.array_equal(new.U, alone.U) and np.array_equal(new.C, alone.C)
+
+    def test_replaced_c_gives_a_new_pencil(self):
+        # a subspace without an operator whose C is replaced by a new array
+        op, dec, rec = self.problem()
+        rec = RecycleSubspace(U=rec.U, C=rec.C)
+        lhs, rhs = harmonic_ritz_pencil(dec, rec)
+        rec.C = rec.C + 0.5 * rec.U
+        fresh = copy.deepcopy((dec, rec))
+        lhs2, rhs2 = harmonic_ritz_pencil(dec, rec)
+        assert not np.allclose(rhs, rhs2)
+        for x, y in zip((lhs2, rhs2), harmonic_ritz_pencil(*fresh)):
+            assert np.array_equal(x, y)
