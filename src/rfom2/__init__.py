@@ -1,7 +1,6 @@
 """Recycled/augmented Krylov subspace approximation of f(A) b."""
 
-from .arnoldi import ArnoldiDecomposition, LinearOperator, arnoldi, as_operator, \
-    shifted_fom_solve
+from .arnoldi import ArnoldiDecomposition, LinearOperator, arnoldi, as_operator
 from .core import (
     FunctionUndefined,
     IllConditionedEigenbasis,
@@ -21,7 +20,6 @@ from .core import (
     eig_dense,
     generalized_eig,
     lu_solve,
-    qr_orthonormalize,
     svd_values,
 )
 from .engines import (

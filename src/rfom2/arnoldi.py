@@ -1,4 +1,4 @@
-"""Arnoldi process with reorthogonalization, and shifted FOM solves."""
+"""Arnoldi process with reorthogonalization."""
 
 from dataclasses import dataclass, field
 
@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import SingularMatrix, SingularShift, ZeroRhs, lu_solve
+from .core import ZeroRhs
 
 BREAKDOWN_TOL = 1e-12
 
@@ -167,18 +167,3 @@ def arnoldi(op, b, j, reorth=True):
     return ArnoldiDecomposition(V=np.ascontiguousarray(V), Hbar=Hbar, j=j,
                                 beta=float(beta), op=op)
 
-
-def shifted_fom_solve(dec, sigma):
-    """FOM iterate for (sigma I - A) x = b from an existing decomposition.
-
-    Returns x_j(sigma) = ||b|| V_j (sigma I - H_j)^{-1} e_1. Works for any
-    shift from the one basis built on (A, b) by shift invariance of
-    Krylov subspaces.
-    """
-    j = dec.j
-    M = sigma * np.eye(j) - dec.H
-    try:
-        y = lu_solve(M, np.eye(j, 1)[:, 0])
-    except SingularMatrix as exc:
-        raise SingularShift(f"shift {sigma} is an eigenvalue of H_j") from exc
-    return dec.beta * (dec.Vj @ y)

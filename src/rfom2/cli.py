@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .arnoldi import arnoldi, as_operator
-from .core import ParseError, RFOMError, UnknownFunction
+from .core import ParseError, RFOMError, UnknownFunction, is_hermitian
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
     rfom_v2, rfom_v3
 from .problems import (
@@ -267,8 +266,7 @@ def _base_matrix(cfg):
         if A.shape[0] != A.shape[1]:
             raise ParseError(f"config key 'matrix_file': {cfg.matrix_file} holds a "
                              f"{A.shape[0]} x {A.shape[1]} matrix, not a square one")
-        herm = (A != A.conj().T).nnz == 0
-        return A, herm
+        return A, is_hermitian(A, rtol=0)
     raise ValueError(f"unknown problem kind {cfg.problem!r}")
 
 
@@ -317,10 +315,8 @@ def _setup(cfg, length, eps):
     engine_names = cfg.engine_list()
     fun = function_catalog(cfg.function)
     base, base_hermitian = _base_matrix(cfg)
-    norm = scipy.sparse.linalg.norm
     # the tolerance of eig_dense's Hermitian check
-    if cfg.hermitian and not base_hermitian \
-            and norm(base - base.conj().T) > 1e-10 * norm(base):
+    if cfg.hermitian and not base_hermitian and not is_hermitian(base, 1e-10):
         raise ParseError("config key 'hermitian': true, but the matrix is not "
                          "Hermitian to 1e-10 relative in the Frobenius norm")
     hermitian = cfg.hermitian or base_hermitian

@@ -9,6 +9,7 @@ exceptions instead of silent garbage.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 class RFOMError(Exception):
@@ -105,27 +106,19 @@ def gesv_solve(M, B):
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False) if X is None else X
 
 
-def qr_orthonormalize(M):
-    """Thin QR factorization M = Q R with orthonormal columns in Q.
-
-    Raises RankDeficient when a diagonal entry of R is below 1e-12 * ||M||.
-    """
-    M = np.asarray_chkfinite(M)
-    if M.ndim != 2 or M.shape[1] > M.shape[0]:
-        raise ValueError("M must be tall (cols <= rows)")
-    Q, R = np.linalg.qr(M)
-    norm = np.linalg.norm(M, 2) if min(M.shape) > 0 else 0.0
-    if M.shape[1] > 0 and np.min(np.abs(np.diag(R))) < 1e-12 * norm:
-        raise RankDeficient("matrix is numerically rank deficient")
-    return Q, R
-
-
 def is_hermitian(M, rtol=1e-12):
-    """True when ||M - M^*||_F <= rtol ||M||_F (a zero M is Hermitian); both
-    norms are BLAS nrm2, which does not overflow past 1e154."""
-    M = np.asarray(M)
+    """True when ||M - M^*||_F <= rtol ||M||_F (a zero M is Hermitian), for
+    a dense or a sparse M; rtol = 0 asks for M = M^* exactly. Both norms
+    are BLAS nrm2 over the entries (a sparse matrix's stored ones), which
+    does not overflow past 1e154."""
+    if scipy.sparse.issparse(M):
+        M = M.tocsr()
+        D, M = (M - M.conj().T).data, M.data
+    else:
+        M = np.asarray(M)
+        D = M - M.conj().T
     norm = lambda X: scipy.linalg.norm(X.ravel(), check_finite=False)
-    return bool(norm(M - M.conj().T) <= rtol * norm(M))
+    return bool(norm(D) <= rtol * norm(M))
 
 
 def eig_dense(M, hermitian=False):

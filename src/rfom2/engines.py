@@ -263,12 +263,6 @@ def rfom_v1(dec, rec, fun, rule):
     return out.real if folded else out
 
 
-def _pencil_node_sum(E, F, rhs, nodes, mu):
-    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once: the node sum
-    over the pencil's decomposition, `_node_sum(_decompose(E, F), ...)`."""
-    return _node_sum(_decompose(E, F), rhs, nodes, mu)
-
-
 def _decompose(E, F):
     """(T, Z, solve_l), the decomposition of the pencil z E - F that
     `_node_sum` reads. E must be Hermitian positive definite (else
@@ -280,14 +274,23 @@ def _decompose(E, F):
     (`_cholesky_reduced`, shared with the harmonic Ritz update), with
     solve_l(X) = L^{-1} X. L is complex like T and Z, so a real pencil and
     its complex cast share L, T and Z and the conjugate fold changes only
-    the node sum.
+    the node sum. An E that is exactly the identity, as the empty
+    subspace's I_j is, forms no L: `eigh` and `schur` decompose F itself,
+    and solve_l returns its argument, which are the same bits.
     """
+    identity = np.array_equal(E, np.eye(E.shape[0]))
     if is_hermitian(F):
-        lam, X = scipy.linalg.eigh(F, E, check_finite=False)
+        lam, X = (scipy.linalg.eigh(F, driver="evd", check_finite=False) if identity
+                  else scipy.linalg.eigh(F, E, check_finite=False))
         return lam, X, None
-    solve_l, M = _cholesky_reduced(E, F)
+    solve_l, M = (_unit_solve, F) if identity else _cholesky_reduced(E, F)
     T, Z = scipy.linalg.schur(M, output="complex")
     return T, Z, solve_l
+
+
+def _unit_solve(X, trans=0):
+    """solve_l of an E that is the identity: L = I, so L^{-1} X is X."""
+    return X
 
 
 def _node_sum(form, rhs, nodes, mu):
@@ -415,22 +418,24 @@ def _build_pencil(dec, rec):
     blocks filled analytically: V_j^* V_j = I,
     V_j^* A V_j = V_j^* V_{j+1} Hbar = H and V_j^* b = beta e_1. A caller
     that needs V_hat forms [U', V_j]. The deflation reads the k x k blocks:
-    X, the eigenvectors of S = U^*U - (V_j^*U)^*(V_j^*U) that pass
+    X, the eigenvectors of S = U^*U - (U^*V_j)(U^*V_j)^* that pass
     `DEFLATION_TOL`'s cut, gives U' = U X, C' = C X and the U blocks'
     congruence by X; rec' is rec when X keeps every column.
     """
     U, C, j = rec.U, rec.C, dec.j
-    Uh, Vjh = U.conj().T, dec.Vj.conj().T
-    UU, UV, VjU, UC, VjC, Ub = Uh @ U, Uh @ dec.V, Vjh @ U, Uh @ C, Vjh @ C, Uh @ dec.b
+    Uh = U.conj().T
+    UU, UV, UC, VjC, Ub = Uh @ U, Uh @ dec.V, Uh @ C, dec.Vj.conj().T @ C, Uh @ dec.b
     if rec.k:
-        lam, X = np.linalg.eigh(UU - VjU.conj().T @ VjU)
+        lam, X = np.linalg.eigh(UU - UV[:, :j] @ UV[:, :j].conj().T)
         keep = lam > DEFLATION_TOL ** 2 * np.linalg.eigvalsh(UU)[-1]
         if not keep.all():
             X, Xh = X[:, keep], X[:, keep].conj().T
             rec = RecycleSubspace(U=U @ X, C=C @ X, op=rec.op)
             UU, UV, UC, Ub = Xh @ UU @ X, Xh @ UV, Xh @ UC @ X, Xh @ Ub
-            VjU, VjC = VjU @ X, VjC @ X
-    E = np.block([[UU, UV[:, :j]], [VjU, np.eye(j)]])
+            VjC = VjC @ X
+    # V_j^*U is the adjoint of U^*V_j, not a product of its own, so E's
+    # off-diagonal blocks are adjoints to the bit
+    E = np.block([[UU, UV[:, :j]], [UV[:, :j].conj().T, np.eye(j)]])
     F = np.block([[UC, UV @ dec.Hbar], [VjC, dec.H]])
     Vhb = np.concatenate([Ub, dec.beta * np.eye(j, 1)[:, 0]])
     return rec, E, F, Vhb

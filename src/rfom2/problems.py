@@ -5,6 +5,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -118,16 +119,13 @@ def load_matrix_market(path):
 
 
 def save_matrix_market(path, A):
-    """Write a sparse matrix as coordinate general, full precision: a real
-    matrix in the real field, a complex one in the complex field."""
+    """Write a sparse matrix to path as coordinate general, full precision
+    (`scipy.io.mmwrite`): a complex matrix in the complex field, any other
+    in the real one, which `load_matrix_market` reads back entry for entry."""
     A = scipy.sparse.coo_matrix(A)
-    field = "complex" if np.iscomplexobj(A.data) else "real"
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for i, j, v in zip(A.row, A.col, A.data):
-            value = f"{v.real:.17g} {v.imag:.17g}" if field == "complex" else f"{v:.17g}"
-            fh.write(f"{i + 1} {j + 1} {value}\n")
+    A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
+    with open(path, "wb") as fh:  # a path, not a name: mmwrite would append .mtx
+        scipy.io.mmwrite(fh, A, symmetry="general", precision=17)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import as_operator
-from .core import RankDeficient, is_hermitian, qr_orthonormalize, svd_values
+from .core import RankDeficient, is_hermitian, svd_values
 from .engines import RecycleSubspace, _augmented_pencil, _cholesky_reduced
 
 
@@ -24,6 +24,11 @@ def harmonic_ritz_pencil(dec, rec):
     recycled GMRES (GCRO-DR). A V_hat = [C, V Hbar], V = V_{j+1}, is not
     formed: V^* V = I gives lhs = [[C^*C, (C^*V) Hbar], [Hbar^*(V^*C), Hbar^*Hbar]],
     and rhs = F^*, with F = V_hat^* A V_hat from `_augmented_pencil`.
+
+    When max(|C|, |Hbar|) leaves [2^-500, 2^500], where lhs would overflow
+    or underflow, the pencil is that of 2^-e A, with 2^e the power of two
+    that brings the maximum into [1/2, 1): C, Hbar and F scale exactly, the
+    vectors g are A's, and theta is 2^-e times A's.
     """
     return _ritz_pencil(dec, rec)[1:]
 
@@ -31,8 +36,13 @@ def harmonic_ritz_pencil(dec, rec):
 def _ritz_pencil(dec, rec):
     """`harmonic_ritz_pencil`, with the deflated subspace first."""
     rec, _, F, _ = _augmented_pencil(dec, rec)
-    CVH = (rec.C.conj().T @ dec.V) @ dec.Hbar
-    lhs = np.block([[rec.C.conj().T @ rec.C, CVH], [CVH.conj().T, dec.Hbar.conj().T @ dec.Hbar]])
+    C, Hbar = rec.C, dec.Hbar
+    top = max(np.max(np.abs(C), initial=0.0), np.max(np.abs(Hbar), initial=0.0))
+    if top > 2.0 ** 500 or 0.0 < top < 2.0 ** -500:
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        C, Hbar, F = scale * C, scale * Hbar, scale * F
+    CVH = (C.conj().T @ dec.V) @ Hbar
+    lhs = np.block([[C.conj().T @ C, CVH], [CVH.conj().T, Hbar.conj().T @ Hbar]])
     return rec, lhs, F.conj().T
 
 
@@ -118,19 +128,25 @@ def _selected_pairs(lhs, rhs, k):
 
 
 def subspace_angle(U, Z):
-    """Largest principal angle (radians) between the column spans of U and Z."""
-    U = np.asarray(U)
-    Z = np.asarray(Z)
-    if U.shape[1] == 0 or Z.shape[1] == 0:
+    """Largest principal angle (radians) between the column spans of U and Z.
+
+    On orthonormal bases (`scipy.linalg.orth`) it is the arccosine of the
+    smallest cosine, or, where that cosine is at least 1/sqrt(2), the
+    arcsine of the largest sine, so small and large angles both stay
+    accurate (Knyazev and Argentati, 2002). `scipy.linalg.subspace_angles`
+    takes the sines for every angle once the largest cosine passes
+    1/sqrt(2), which lost 1.1e-11 on a largest angle of pi/2 - 1e-5 beside
+    one of 1e-12.
+    """
+    if np.shape(U)[1] == 0 or np.shape(Z)[1] == 0:
         raise ValueError("subspace_angle needs nonempty subspaces")
-    Qu, _ = qr_orthonormalize(U)
-    Qz, _ = qr_orthonormalize(Z)
+    Qu, Qz = scipy.linalg.orth(U), scipy.linalg.orth(Z)
+    if Qz.shape[1] > Qu.shape[1]:
+        Qu, Qz = Qz, Qu
     M = Qu.conj().T @ Qz
-    smin = float(np.clip(np.min(svd_values(M)), 0.0, 1.0))
-    if smin < np.sqrt(0.5):
-        return float(np.arccos(smin))
-    # small angles: the cosine saturates at 1, so switch to the sine
-    # of the largest principal angle, which stays well conditioned
-    sines = svd_values(Qz - Qu @ M)
-    smax = float(np.clip(np.max(sines) if sines.size else 0.0, 0.0, 1.0))
-    return float(np.arcsin(smax))
+    cos = float(np.min(svd_values(M)))
+    if cos < np.sqrt(0.5):
+        return float(np.arccos(cos))
+    # Qz has the fewer columns, so the sines of its part outside span(Qu)
+    # are those of the principal angles
+    return float(np.arcsin(min(np.max(svd_values(Qz - Qu @ M)), 1.0)))

@@ -6,13 +6,15 @@ import scipy.linalg
 import scipy.sparse
 
 from rfom2 import (
+    QuadratureRule,
     ZeroRhs,
     arnoldi,
+    arnoldi_quad,
     as_operator,
+    function_catalog,
     gen_convection_diffusion_2d,
     gen_graded_hermitian,
     gen_laplacian_2d,
-    shifted_fom_solve,
 )
 from rfom2.arnoldi import BREAKDOWN_TOL
 
@@ -112,6 +114,14 @@ class TestArnoldi:
     def test_zero_rhs(self):
         with pytest.raises(ZeroRhs):
             arnoldi(np.eye(4), np.zeros(4), 2)
+
+
+def shifted_fom_solve(dec, sigma):
+    """The FOM iterate x_j(sigma) = ||b|| V_j (sigma I - H_j)^{-1} e_1 for
+    (sigma I - A) x = b: `arnoldi_quad` on the one-node rule at sigma, whose
+    Stieltjes kind multiplies the solve by its weight 1 alone."""
+    rule = QuadratureRule(nodes=[sigma], weights=[1.0], kind="stieltjes")
+    return arnoldi_quad(dec, function_catalog("inverse"), rule)
 
 
 class TestShiftedFom:

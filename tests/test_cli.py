@@ -230,7 +230,8 @@ class TestRunExperiment:
     def test_entries_past_sqrt_range_keep_the_contour(self, tmp_path):
         # the same Laplacian times 1e160 at seed 0: the guarded circle's
         # need * avail overflows on problem 1, and the update's pencil
-        # overflows so that no harmonic Ritz value is finite
+        # would overflow, were it not scaled, so that no harmonic Ritz value
+        # were finite; it keeps the unscaled k = 2 instead
         mfile = tmp_path / "huge.mtx"
         save_matrix_market(mfile, gen_laplacian_2d(6) * 1e160)
         cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
@@ -240,8 +241,8 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         first = {r["engine"]: r["status"] for r in report.select(problem_index=1)}
         assert [first[e] for e in ("arnoldi_q", "v1", "v2", "v3")] == ["ok"] * 4
-        assert [r["status"] for r in report.select(engine="recycle")] \
-            == ["error:RankDeficient"] * 2
+        assert report.select(engine="recycle") == []
+        assert {r["k"] for r in report.select(problem_index=2)} == {2}
 
     def test_fixed_circle(self, tmp_path):
         # contour_center and contour_radius replace the guarded circle:

@@ -1,20 +1,20 @@
-"""Dense kernel contracts: factor/solve, QR, eigen, SVD."""
+"""Dense kernel contracts: factor/solve, eigen, SVD, Hermitian test."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfom2 import (
     NoConvergence,
-    RankDeficient,
     SingularMatrix,
     SingularPencil,
     eig_dense,
     generalized_eig,
     lu_solve,
-    qr_orthonormalize,
     svd_values,
 )
 from rfom2.core import is_hermitian
@@ -75,43 +75,6 @@ class TestLuSolve:
         assert np.array_equal(X, ref)
 
 
-class TestQr:
-    def test_orthonormal_input(self):
-        Q0 = np.eye(4)[:, :2]
-        Q, R = qr_orthonormalize(Q0)
-        # Q equals the input up to column phases; R diagonal unit-modulus
-        assert np.allclose(np.abs(np.diag(R)), 1.0, atol=1e-14)
-        assert np.allclose(np.abs(Q.conj().T @ Q0), np.eye(2), atol=1e-14)
-
-    def test_span(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        M = np.column_stack([e1, e1 + e2])
-        Q, _ = qr_orthonormalize(M)
-        # span(Q) = span{e1, e2}: e3 components vanish
-        assert np.allclose(Q[2, :], 0.0, atol=1e-14)
-        proj = Q @ (Q.conj().T @ e2)
-        assert np.allclose(proj, e2, atol=1e-13)
-
-    def test_orthogonality_random(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
-        Q, R = qr_orthonormalize(M)
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(5)) <= 1e-12
-        assert np.linalg.norm(Q @ R - M) <= 1e-12 * np.linalg.norm(M)
-
-    def test_orthogonality_tall(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((1000, 50))
-        Q, _ = qr_orthonormalize(M)
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(50), "fro") <= 1e-12
-
-    def test_rank_deficient(self):
-        M = np.column_stack([np.ones(4), 2 * np.ones(4)])
-        with pytest.raises(RankDeficient):
-            qr_orthonormalize(M)
-
-
 class TestEig:
     def test_hermitian_diag(self):
         w, Q = eig_dense(np.diag([3.0, 1.0, 2.0]), hermitian=True)
@@ -153,6 +116,21 @@ class TestIsHermitian:
         for c in (1.0, 1e160, 1e-160):
             assert not is_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]) * c)
             assert is_hermitian(np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]) * c)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_sparse_reads_the_stored_entries(self, fmt):
+        # rtol = 0 is exact equality; 1e-10 takes a 1e-12 relative defect
+        # but not a 1e-9 one; and a 1e160 scale overflows neither norm
+        M = scipy.sparse.random(30, 30, density=0.2, random_state=0, format="csr")
+        M = M + M.T + scipy.sparse.identity(30)
+        for c in (1.0, 1e160):
+            S = (M * c).asformat(fmt)
+            assert is_hermitian(S, 0) and not is_hermitian(S * (1.0 + 1.0j), 0)
+            D = scipy.sparse.coo_matrix(([1.0], ([0], [1])), shape=(30, 30)) * c
+            norm = scipy.sparse.linalg.norm(M)
+            assert not is_hermitian(S + 1e-12 * norm * D, 0)
+            assert is_hermitian(S + 1e-12 * norm * D, 1e-10)
+            assert not is_hermitian(S + 1e-9 * norm * D, 1e-10)
 
 
 class TestGeneralizedEig:

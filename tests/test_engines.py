@@ -47,7 +47,6 @@ from rfom2.engines import (
     _folded_nodes,
     _node_factor,
     _node_weights,
-    _pencil_node_sum,
 )
 from rfom2.problems import (
     function_catalog,
@@ -207,7 +206,7 @@ def pencil_arnoldi_quad(dec, fun, rule):
     the problem allows, back-projected by V_j."""
     beta_e1 = dec.beta * np.eye(dec.j, 1)[:, 0]
     nodes, mu, folded = _folded_nodes(fun, rule, dec)
-    y = _pencil_node_sum(np.eye(dec.j), dec.H, beta_e1, nodes, mu)
+    y = pencil_node_sum(np.eye(dec.j), dec.H, beta_e1, nodes, mu)
     return dec.Vj @ (y.real if folded else y)
 
 
@@ -216,6 +215,12 @@ def v2_plus_krylov_error(dec, rec, fun, rule):
     quadrature summed by the per-node loop rather than by `arnoldi_quad`."""
     return rfom_v2(dec, rec, fun, rule) + arnoldi_direct(dec, fun) \
         - loop_arnoldi_quad(dec, fun, rule)
+
+
+def pencil_node_sum(E, F, rhs, nodes, mu):
+    """sum_l mu_l (z_l E - F)^{-1} rhs for every node at once: the engines'
+    node sum over the pencil's decomposition, on a pencil of the test's own."""
+    return engines._node_sum(engines._decompose(E, F), rhs, nodes, mu)
 
 
 def loop_node_terms(E, F, rhs, nodes, mu):
@@ -379,6 +384,31 @@ class TestQuadIsV2OnEmptySubspace:
         assert np.array_equal(E, np.eye(dec.j))
         assert np.array_equal(F, dec.H)
         assert np.array_equal(Vhb, dec.beta * np.eye(dec.j, 1)[:, 0])
+
+    @pytest.mark.parametrize("kind", ["real hermitian", "real convdiff", "complex"])
+    def test_no_cholesky_factor_of_the_identity(self, kind, monkeypatch):
+        # E = I_j: arnoldi and arnoldi_q decompose H_j itself, with no
+        # Cholesky factor and no generalized eigh, while a nonempty
+        # subspace's pencil still takes one of the two
+        calls = []
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls.append((name, len(args)))
+                return f(*args, **kwargs)
+            return call
+
+        for name in ("cholesky", "eigh", "schur"):
+            monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+        dec = self.problem(kind)
+        fun, rule = function_catalog("invsqrt"), stieltjes_invsqrt(30)
+        arnoldi_quad(dec, fun, rule)
+        arnoldi_direct(dec, fun)
+        assert calls == [("eigh" if kind == "real hermitian" else "schur", 1)]
+        U = dec.Vj[:, :2] + 1e-3 * np.random.default_rng(5).standard_normal((dec.V.shape[0], 2))
+        calls.clear()
+        rfom_v2(arnoldi(dec.op, dec.V[:, 1], 10), RecycleSubspace.from_basis(dec.op, U), fun, rule)
+        assert ("cholesky", 1) in calls or ("eigh", 2) in calls, calls
 
 
 class TestV1IsTheLuLoop:
@@ -700,6 +730,28 @@ class TestAugmentedPencil:
         assert relerr(lhs, AVh @ AVhat) <= PENCIL_TOL
         assert relerr(rhs, AVh @ Vhat) <= PENCIL_TOL
 
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_e_is_hermitian_to_the_bit(self, cplx):
+        # the benchmark's shape: n = 900, j = 50, k = 20 harmonic Ritz
+        # vectors carried to a new right-hand side. Both eigh and v1 read E,
+        # the one its lower triangle and the other its upper block rows
+        rng = np.random.default_rng(17)
+        A = gen_graded_hermitian(900, seed=3).toarray()
+        if cplx:
+            d = np.exp(2j * np.pi * rng.uniform(size=900))
+            A = (d[:, None] * A) * d.conj()[None, :]
+            A = 0.5 * (A + A.conj().T)
+
+        def draw():
+            b = rng.standard_normal(900)
+            return b + 1j * rng.standard_normal(900) if cplx else b
+
+        op = as_operator(A)
+        rec = harmonic_ritz_update(arnoldi(op, draw(), 50), RecycleSubspace.empty(900), op, 20)
+        sub, E, _, _ = _augmented_pencil(arnoldi(op, draw(), 50), rec)
+        assert sub.k == 20 and E.dtype == A.dtype
+        assert np.array_equal(E, E.conj().T)
+
 
 class TestV3Identity:
     """rfom_v3 = rfom_v2 + V_j (f(H) - q(H)) beta e_1 against the SMW reference."""
@@ -755,7 +807,7 @@ class TestPencilKernel:
         nodes = rng.uniform(6.0, 10.0, n_nodes) * np.exp(2j * np.pi * rng.uniform(size=n_nodes))
         mu = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
         terms = loop_node_terms(E, F, rhs, nodes, mu)
-        got = _pencil_node_sum(E, F, rhs, nodes, mu)
+        got = pencil_node_sum(E, F, rhs, nodes, mu)
         # relative to the sum of the terms' sizes, which bounds its rounding
         scale = np.linalg.norm(terms, axis=1).sum()
         assert np.linalg.norm(got - terms.sum(axis=0)) <= 1e-12 * scale
@@ -850,7 +902,7 @@ class TestHermitianKernel:
         _, E, F, Vhb = _augmented_pencil(dec, rec)
         assert is_hermitian(E) and is_hermitian(F)
         loop = loop_node_terms(E, F, Vhb, rule.nodes, mu).sum(axis=0)
-        assert relerr(_pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
+        assert relerr(pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
         x1 = rfom_v1(dec, rec, fun, rule)
         assert relerr(rfom_v2(dec, rec, fun, rule), x1) <= HERMITIAN_KERNEL_TOL
         xq = loop_arnoldi_quad(dec, fun, rule)
@@ -871,14 +923,14 @@ class TestHermitianKernel:
         K = np.triu(np.ones((8, 8)), 1)
         for G in (F, F + K):
             with pytest.raises(np.linalg.LinAlgError):
-                _pencil_node_sum(E, G, rhs, nodes, mu)
+                pencil_node_sum(E, G, rhs, nodes, mu)
         # on a definite E, a node on an eigenvalue of the pencil raises in
         # both branches: D and D + K have the eigenvalues 1, ..., 8
         E = np.diag([1.0, 0.5, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0])
         D = E * np.arange(1.0, 9.0)
         for G in (D, D + K):
             with pytest.raises(SingularSystem):
-                _pencil_node_sum(E, G, rhs, np.array([12.0j, 2.0]), mu[:2])
+                pencil_node_sum(E, G, rhs, np.array([12.0j, 2.0]), mu[:2])
 
     def test_asymmetry_above_the_hermitian_test_falls_back_to_qz(self):
         F, rhs, nodes, mu = self.pencil()
@@ -890,8 +942,8 @@ class TestHermitianKernel:
         assert is_hermitian(below) and not is_hermitian(above)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scipy.linalg, "schur", no_schur)
-            eigh = _pencil_node_sum(E, below, rhs, nodes, mu)
-        schur = _pencil_node_sum(E, above, rhs, nodes, mu)
+            eigh = pencil_node_sum(E, below, rhs, nodes, mu)
+        schur = pencil_node_sum(E, above, rhs, nodes, mu)
         assert relerr(schur, eigh) <= HERMITIAN_KERNEL_TOL
 
     def test_non_hermitian_pencil_keeps_qz(self):
@@ -907,7 +959,7 @@ class TestHermitianKernel:
         rule = trapezoid_contour(guarded_contour(np.linalg.eigvals(dec.H), 0.1, None), 64)
         mu = _node_weights(fun, rule)
         loop = loop_node_terms(E, F, Vhb, rule.nodes, mu).sum(axis=0)
-        assert relerr(_pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
+        assert relerr(pencil_node_sum(E, F, Vhb, rule.nodes, mu), loop) <= HERMITIAN_KERNEL_TOL
         for engine in (rfom_v2, rfom_v3):
             assert np.all(np.isfinite(engine(dec, rec, fun, rule)))
 

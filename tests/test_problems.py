@@ -50,17 +50,28 @@ class TestMatrixMarket:
         assert A[0, 1] == A[1, 0] == 5.0
 
     def test_round_trip(self, tmp_path):
+        # real, complex, integer-valued float and int64 matrices read back
+        # equal entry for entry; the int64 one in the real field, which the
+        # reader takes, not the integer field, which it refuses
         rng = np.random.default_rng(0)
         A = scipy.sparse.random(15, 15, density=0.2, random_state=rng,
                                 dtype=np.float64)
         Z = A + 1j * scipy.sparse.random(15, 15, density=0.2, random_state=rng)
+        N = scipy.sparse.random(15, 15, density=0.2, random_state=rng,
+                                data_rvs=lambda size: rng.integers(-2**40, 2**40, size) * 1.0)
         p = tmp_path / "r.mtx"
-        for M, field in ((A, "real"), (Z, "complex")):
+        for M, field in ((A, "real"), (Z, "complex"), (N, "real"),
+                         (N.astype(np.int64), "real")):
             save_matrix_market(p, M)
             assert p.read_text().split()[3] == field
             B = load_matrix_market(p)
-            assert B.dtype == M.dtype
-            assert (abs(M.tocsr() - B) > 0).nnz == 0
+            assert B.dtype == np.result_type(M.dtype, np.float64)
+            assert (M.tocsr() != B).nnz == 0
+
+    def test_writes_the_path_it_is_given(self, tmp_path):
+        save_matrix_market(tmp_path / "plain", gen_laplacian_2d(3))
+        assert [f.name for f in tmp_path.iterdir()] == ["plain"]
+        assert (load_matrix_market(tmp_path / "plain") != gen_laplacian_2d(3)).nnz == 0
 
     def test_parse_error_line_number(self, tmp_path):
         p = tmp_path / "bad.mtx"

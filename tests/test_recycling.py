@@ -95,8 +95,54 @@ class TestSubspaceAngle:
         with pytest.raises(ValueError):
             subspace_angle(np.zeros((4, 0)), np.eye(4)[:, :1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(cplx=st.booleans(), extra=st.integers(0, 6),
+           thetas=st.lists(st.floats(1e-12, np.pi / 2), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_prescribed_angles(self, cplx, extra, thetas, seed):
+        # Z = U cos(Theta) + W sin(Theta), with U and W orthonormal and
+        # orthogonal to each other, is at the principal angles Theta to
+        # span(U); each basis is mixed by a well-conditioned matrix. Angles
+        # near pi/2 beside small ones are where taking every angle from its
+        # sine, once the largest cosine passes 1/sqrt(2), loses digits
+        rng = np.random.default_rng(seed)
+        k = len(thetas)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if cplx else x
+
+        def mixed(X):
+            return X @ (np.linalg.qr(draw(k, k))[0] * rng.uniform(0.5, 2.0, k))
+
+        Q = np.linalg.qr(draw(2 * k + extra, 2 * k))[0]
+        U, W = Q[:, :k], Q[:, k:]
+        theta = np.array(thetas)
+        Z = U * np.cos(theta) + W * np.sin(theta)
+        for X, Y in ((U, Z), (Z, U)):
+            assert abs(subspace_angle(mixed(X), mixed(Y)) - theta.max()) <= 1e-13
+
 
 class TestHarmonicRitz:
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_scale_of_a(self, scale):
+        # harmonic Ritz vectors of c A are those of A; past 2^500 (below
+        # 2^-500) (A V_hat)^* A V_hat would overflow (underflow), so the
+        # pencil is scaled by a power of two: a second update, from a
+        # carried subspace, keeps the unscaled k and span
+        A = gen_laplacian_2d(6)
+        rng = np.random.default_rng(3)
+        b1, b2 = rng.standard_normal(36), rng.standard_normal(36)
+
+        def updates(c):
+            op = as_operator(A * c)
+            rec = harmonic_ritz_update(arnoldi(op, b1, 10), RecycleSubspace.empty(36), op, 2)
+            return rec, harmonic_ritz_update(arnoldi(op, b2, 10), rec, op, 2)
+
+        for plain, scaled in zip(updates(1.0), updates(scale)):
+            assert scaled.k == plain.k == 2
+            assert subspace_angle(scaled.U, plain.U) <= 1e-10
+
     def test_k_zero_is_empty(self):
         A = np.diag(np.arange(1.0, 21.0))
         dec = arnoldi(A, np.ones(20), 6)
@@ -187,10 +233,11 @@ class TestHarmonicRitz:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_no_finite_harmonic_ritz_value(self):
-        # entries near 1e160: lhs = (A V_hat)^* A V_hat overflows, so no
-        # harmonic Ritz value is finite and there is nothing to select
-        A = gen_laplacian_2d(6).toarray() * 1e160
-        dec = arnoldi(A, np.random.default_rng(0).standard_normal(36), 10)
+        # a nilpotent A, the down shift, from b = e_1: V_{j+1} = I[:, :j+1],
+        # lhs = Hbar^* Hbar = I and rhs = H^* is nilpotent too, so every
+        # harmonic Ritz value is infinite and there is nothing to select
+        A = np.eye(36, k=-1)
+        dec = arnoldi(A, np.eye(36)[:, 0], 10)
         with pytest.raises(RankDeficient):
             harmonic_ritz_update(dec, RecycleSubspace.empty(36), A, 2)
 
