@@ -274,23 +274,14 @@ def _decompose(E, F):
     (`_cholesky_reduced`, shared with the harmonic Ritz update), with
     solve_l(X) = L^{-1} X. L is complex like T and Z, so a real pencil and
     its complex cast share L, T and Z and the conjugate fold changes only
-    the node sum. An E that is exactly the identity, as the empty
-    subspace's I_j is, forms no L: `eigh` and `schur` decompose F itself,
-    and solve_l returns its argument, which are the same bits.
+    the node sum.
     """
-    identity = np.array_equal(E, np.eye(E.shape[0]))
     if is_hermitian(F):
-        lam, X = (scipy.linalg.eigh(F, driver="evd", check_finite=False) if identity
-                  else scipy.linalg.eigh(F, E, check_finite=False))
+        lam, X = scipy.linalg.eigh(F, E, check_finite=False)
         return lam, X, None
-    solve_l, M = (_unit_solve, F) if identity else _cholesky_reduced(E, F)
+    solve_l, M = _cholesky_reduced(E, F)
     T, Z = scipy.linalg.schur(M, output="complex")
     return T, Z, solve_l
-
-
-def _unit_solve(X, trans=0):
-    """solve_l of an E that is the identity: L = I, so L^{-1} X is X."""
-    return X
 
 
 def _node_sum(form, rhs, nodes, mu):

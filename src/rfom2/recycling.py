@@ -28,7 +28,8 @@ def harmonic_ritz_pencil(dec, rec):
     When max(|C|, |Hbar|) leaves [2^-500, 2^500], where lhs would overflow
     or underflow, the pencil is that of 2^-e A, with 2^e the power of two
     that brings the maximum into [1/2, 1): C, Hbar and F scale exactly, the
-    vectors g are A's, and theta is 2^-e times A's.
+    vectors g are A's, and theta is 2^-e times A's. Inside that range lhs
+    and rhs are A's own, and theta are A's harmonic Ritz values.
     """
     return _ritz_pencil(dec, rec)[1:]
 
@@ -137,10 +138,14 @@ def subspace_angle(U, Z):
     takes the sines for every angle once the largest cosine passes
     1/sqrt(2), which lost 1.1e-11 on a largest angle of pi/2 - 1e-5 beside
     one of 1e-12.
+
+    The spans are those of `orth`'s bases, so numerically dependent columns
+    add nothing, and a span of no dimension raises ValueError. Of spans of
+    different dimensions, the smaller one's principal angles are taken.
     """
-    if np.shape(U)[1] == 0 or np.shape(Z)[1] == 0:
-        raise ValueError("subspace_angle needs nonempty subspaces")
     Qu, Qz = scipy.linalg.orth(U), scipy.linalg.orth(Z)
+    if Qu.shape[1] == 0 or Qz.shape[1] == 0:
+        raise ValueError("subspace_angle needs nonempty subspaces")
     if Qz.shape[1] > Qu.shape[1]:
         Qu, Qz = Qz, Qu
     M = Qu.conj().T @ Qz

@@ -94,6 +94,28 @@ class TestSubspaceAngle:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             subspace_angle(np.zeros((4, 0)), np.eye(4)[:, :1])
+        # a span of no dimension, though the array has columns
+        with pytest.raises(ValueError):
+            subspace_angle(np.zeros((4, 2)), np.eye(4)[:, :1])
+
+    def test_rank_deficient(self):
+        # dependent columns add nothing to the span: U spans e1 and e2
+        I = np.eye(6)
+        U = np.column_stack([I[:, 0], I[:, 1], I[:, 0] - 2.0 * I[:, 1]])
+        Z = np.column_stack([I[:, 0], np.cos(0.3) * I[:, 1] + np.sin(0.3) * I[:, 2]])
+        for X, Y in ((U, Z), (Z, U)):
+            assert abs(subspace_angle(X, Y) - 0.3) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2])
+    def test_unequal_dimensions(self, theta):
+        # the smaller span's principal angles, in either order: span(Z) lies
+        # at theta to span(U), and e1, in both, at no angle to the other
+        I = np.eye(6)
+        U = I[:, :3]
+        Z = np.column_stack([I[:, 0], np.cos(theta) * I[:, 1] + np.sin(theta) * I[:, 4]])
+        for X, Y in ((U, Z), (Z, U)):
+            assert abs(subspace_angle(X, Y) - theta) <= 1e-14
+            assert subspace_angle(X, Y[:, :1]) <= 1e-14
 
     @settings(max_examples=300, deadline=None)
     @given(cplx=st.booleans(), extra=st.integers(0, 6),
