@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import ZeroRhs
+from .core import ZeroRhs, norm
 
 BREAKDOWN_TOL = 1e-12
 
@@ -116,8 +116,8 @@ def arnoldi(op, b, j, reorth=True):
     made; the returned V is C-ordered, on breakdown too. Breakdown
     truncates the decomposition. V and Hbar take the dtype of b and of the
     first product A v_1, so a real operator and a real b give a real
-    decomposition. The norms are BLAS nrm2's, which scales as it sums, so A
-    and b may have entries past 1e154, where sqrt(x.x) overflows.
+    decomposition. The norms are `core.norm`'s, so A and b may have entries
+    past 1e154.
     """
     op = as_operator(op)
     b = np.asarray(b).reshape(-1)
@@ -125,7 +125,7 @@ def arnoldi(op, b, j, reorth=True):
         raise ValueError("rhs length does not match operator dimension")
     if not (1 <= j < op.dim):
         raise ValueError("need 1 <= j < operator dimension")
-    beta = scipy.linalg.norm(b, check_finite=False)
+    beta = norm(b)
     if beta == 0.0:
         raise ZeroRhs("right-hand side is the zero vector")
 
@@ -150,20 +150,14 @@ def arnoldi(op, b, j, reorth=True):
             w = gemv(-1.0, Vl, h2, beta=1.0, y=w, overwrite_y=True)
             h = h + h2
         Hbar[: ell + 1, ell] = h
-        hnext = scipy.linalg.norm(w, check_finite=False)
-        if hnext < BREAKDOWN_TOL * max(np.max(np.abs(Hbar)), 1e-300):
-            jt = ell + 1
-            return ArnoldiDecomposition(
-                V=V[:, : jt + 1].copy(),
-                Hbar=Hbar[: jt + 1, :jt].copy(),
-                j=jt,
-                beta=float(beta),
-                breakdown=True,
-                op=op,
-            )
+        hnext = norm(w)
+        breakdown = bool(hnext < BREAKDOWN_TOL * max(np.max(np.abs(Hbar)), 1e-300))
+        if breakdown:
+            break
         Hbar[ell + 1, ell] = hnext
         V[:, ell + 1] = w / hnext
 
-    return ArnoldiDecomposition(V=np.ascontiguousarray(V), Hbar=Hbar, j=j,
-                                beta=float(beta), op=op)
-
+    jt = ell + 1
+    return ArnoldiDecomposition(V=np.ascontiguousarray(V[:, : jt + 1]),
+                                Hbar=np.ascontiguousarray(Hbar[: jt + 1, :jt]), j=jt,
+                                beta=beta, breakdown=breakdown, op=op)

@@ -16,10 +16,9 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
 from .arnoldi import arnoldi, as_operator
-from .core import ParseError, RFOMError, UnknownFunction, is_hermitian
+from .core import ParseError, RFOMError, UnknownFunction, is_hermitian, norm
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
     rfom_v2, rfom_v3
 from .problems import (
@@ -229,8 +228,7 @@ class RunReport:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for row in self.rows:
-                writer.writerow({c: _fmt(row[c]) for c in CSV_COLUMNS})
+            writer.writerows(self.rows)
 
     def select(self, engine=None, problem_index=None):
         out = self.rows
@@ -239,12 +237,6 @@ class RunReport:
         if problem_index is not None:
             out = [r for r in out if r["problem_index"] == problem_index]
         return out
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def _base_matrix(cfg):
@@ -336,12 +328,6 @@ def _status(exc):
     return f"error:{type(exc).__name__}"
 
 
-def _norm(x):
-    """BLAS nrm2, which scales as it sums: np.linalg.norm's sqrt(x.x)
-    overflows once entries pass about 1e154."""
-    return float(scipy.linalg.norm(x, check_finite=False))
-
-
 # The failures a stage of a problem may raise: the package's own, and
 # numpy's and scipy's, whose LinAlgError is a ValueError.
 _FAILURES = (RFOMError, ValueError)
@@ -406,11 +392,11 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
         ref = reference
         if ref is None and outputs:
             ref = next(iter(outputs.values()))[0]
-        refnorm = _norm(ref) if ref is not None else 0.0
+        refnorm = norm(ref) if ref is not None else 0.0
         for name, (x, wall) in outputs.items():
-            rel = _norm(x - ref) / refnorm if refnorm > 0 else ""
-            xnorm = _norm(x)
-            imag = _norm(x.imag) / xnorm if xnorm > 0 else 0.0
+            rel = norm(x - ref) / refnorm if refnorm > 0 else ""
+            xnorm = norm(x)
+            imag = norm(x.imag) / xnorm if xnorm > 0 else 0.0
             report.add(engine=name, rel_error=rel, imag_residue=imag,
                        subspace_angle=angle, wall_ms=wall, status="ok", **row)
     return new

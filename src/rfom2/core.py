@@ -106,19 +106,19 @@ def gesv_solve(M, B):
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False) if X is None else X
 
 
+def norm(M):
+    """The 2-norm of a dense array's entries, or of a sparse matrix's stored
+    ones (its Frobenius norm), as a float. It is BLAS nrm2, which scales as
+    it sums, so entries past 1e154, where sqrt(x.x) overflows, give a
+    finite norm."""
+    X = M.tocsr().data if scipy.sparse.issparse(M) else np.asarray(M)
+    return float(scipy.linalg.norm(X.ravel(), check_finite=False))
+
+
 def is_hermitian(M, rtol=1e-12):
-    """True when ||M - M^*||_F <= rtol ||M||_F (a zero M is Hermitian), for
-    a dense or a sparse M; rtol = 0 asks for M = M^* exactly. Both norms
-    are BLAS nrm2 over the entries (a sparse matrix's stored ones), which
-    does not overflow past 1e154."""
-    if scipy.sparse.issparse(M):
-        M = M.tocsr()
-        D, M = (M - M.conj().T).data, M.data
-    else:
-        M = np.asarray(M)
-        D = M - M.conj().T
-    norm = lambda X: scipy.linalg.norm(X.ravel(), check_finite=False)
-    return bool(norm(D) <= rtol * norm(M))
+    """True when norm(M - M^*) <= rtol norm(M) (a zero M is Hermitian), for
+    an ndarray or a sparse M; rtol = 0 asks for M = M^* exactly."""
+    return norm(M - M.conj().T) <= rtol * norm(M)
 
 
 def eig_dense(M, hermitian=False):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.io
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import (
     FunctionUndefined,
@@ -18,6 +17,7 @@ from .core import (
     UnsupportedFormat,
     eig_dense,
     lu_solve,
+    norm,
 )
 from .engines import FunctionSpec, _eigen_apply
 
@@ -185,9 +185,11 @@ def gen_perturbation_sequence(seq):
     """Yield (matrix, rhs) pairs with on-pattern random perturbations.
 
     Each step adds eps * E where E lives on the sparsity pattern of the
-    base matrix and is Frobenius-normalized to ||A^(1)||_F; with the
-    hermitian flag E is symmetrized first. All randomness comes from one
-    seeded generator so identical parameters reproduce the sequence.
+    base matrix and is Frobenius-normalized to ||A^(1)||_F, both norms
+    `core.norm`'s, so a base with entries past 1e154 gives finite
+    matrices; with the hermitian flag E is symmetrized first. All
+    randomness comes from one seeded generator so identical parameters
+    reproduce the sequence.
     The matrices keep the base matrix's dtype, and a real-valued base
     gets real right-hand sides and perturbations. With eps = 0 every
     problem gets the same matrix object.
@@ -204,11 +206,10 @@ def gen_perturbation_sequence(seq):
     A = scipy.sparse.csr_matrix(seq.base)
     A.sum_duplicates()  # canonical: sorted indices, no duplicate entries
     n = A.shape[0]
-    base_fro = scipy.sparse.linalg.norm(A, "fro")
+    base_fro = norm(A)
     is_real = bool(np.all(A.data.imag == 0.0))
     dense = A.nnz == A.shape[0] * A.shape[1]
     current = A.toarray() if dense else A
-    norm = np.linalg.norm if dense else scipy.sparse.linalg.norm
 
     def random_values(shape):
         if is_real:
@@ -229,7 +230,7 @@ def gen_perturbation_sequence(seq):
                 E.data = random_values(A.nnz)
             if seq.hermitian:
                 E = (E + E.conj().T) * 0.5
-            fro = norm(E, "fro")
+            fro = norm(E)
             if fro > 0:
                 E = E * (base_fro / fro)
             current = current + seq.eps * E

@@ -13,6 +13,7 @@ from rfom2.core import ParseError, RankDeficient
 from rfom2.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
+    RunReport,
     main,
     parse_config,
     run_experiment,
@@ -654,3 +655,16 @@ class TestMain:
                     for r in csv.DictReader(fh)]
         assert rows == [(i, e, "error:NoSeparatingContour")
                         for i in ("1", "2") for e in ("arnoldi", "arnoldi_q")]
+
+
+class TestRunReport:
+    def test_numpy_floats_are_written_as_floats(self, tmp_path):
+        # a np.float64 is a float, and csv writes it as 0.1, not as numpy's
+        # repr np.float64(0.1)
+        report = RunReport(path=str(tmp_path / "r.csv"))
+        report.add(problem_index=1, engine="v2", rel_error=np.float64(0.1),
+                   wall_ms=0.25, status="ok")
+        report.write_csv()
+        with open(report.path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["rel_error"], row["wall_ms"], row["k"]) == ("0.1", "0.25", "")

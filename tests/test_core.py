@@ -1,4 +1,4 @@
-"""Dense kernel contracts: factor/solve, eigen, SVD, Hermitian test."""
+"""Dense kernel contracts: factor/solve, eigen, SVD, norm, Hermitian test."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from rfom2 import (
     lu_solve,
     svd_values,
 )
-from rfom2.core import is_hermitian
+from rfom2.core import is_hermitian, norm
 
 
 class TestLuSolve:
@@ -107,6 +107,37 @@ class TestEig:
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             eig_dense(M, hermitian=True)
+
+
+def norm_inputs(cplx):
+    """A dense vector, a dense matrix and a canonical CSR matrix."""
+    rng = np.random.default_rng(0)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if cplx else x
+
+    S = scipy.sparse.csr_matrix(np.where(rng.random((30, 20)) < 0.2, draw((30, 20)), 0.0))
+    return draw(40), draw((30, 20)), S
+
+
+class TestNorm:
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**530, 2.0**-530])
+    def test_scale_past_sqrt_range(self, cplx, scale):
+        # at 2^530 sqrt(x.x) overflows and at 2^-530 it underflows; nrm2
+        # gives the unscaled norm times the scale
+        for X in norm_inputs(cplx):
+            got = norm(X * scale)
+            want = norm(X) * scale
+            assert type(got) is float and abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_sparse_reads_the_stored_entries(self, cplx):
+        S = norm_inputs(cplx)[2]
+        dense = S.toarray()
+        assert abs(norm(S) - norm(dense)) <= 1e-15 * norm(dense)
+        assert abs(norm(S) - np.linalg.norm(dense)) <= 1e-14 * norm(dense)
 
 
 class TestIsHermitian:

@@ -1,11 +1,12 @@
 """Generators, Matrix Market I/O, the dense oracle, and the function catalog."""
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,7 +180,7 @@ def csr_sequence(seq):
     rng = np.random.default_rng(seq.seed)
     A = scipy.sparse.csr_matrix(seq.base)
     n = A.shape[0]
-    base_fro = scipy.sparse.linalg.norm(A, "fro")
+    base_fro = scipy.linalg.norm(A.data)
     pattern = A.copy()
     pattern.data = np.ones_like(pattern.data)
     is_real = bool(np.all(A.data.imag == 0.0))
@@ -202,7 +203,7 @@ def csr_sequence(seq):
             E = E.tocsr()
             if seq.hermitian:
                 E = ((E + E.conj().T) * 0.5).tocsr()
-            fro = scipy.sparse.linalg.norm(E, "fro")
+            fro = scipy.linalg.norm(E.data)
             if fro > 0:
                 E = E * (base_fro / fro)
             current = (current + seq.eps * E).tocsr()
@@ -270,6 +271,41 @@ class TestStorageRule:
             assert np.array_equal(b, rb)
         if eps == 0.0:
             assert all(A is got[0][0] for A, _ in got)
+
+
+def dense(A):
+    return A.toarray() if scipy.sparse.issparse(A) else A
+
+
+class TestSequenceScale:
+    """A base scaled by a power of two scales every matrix of the sequence
+    by it and keeps the right-hand sides; past 1e154 sqrt(x.x) norms break
+    this, as 2^530 overflows them and 2^-530 underflows them."""
+
+    @pytest.mark.parametrize("kind", ["graded", "graded_complex", "stencil",
+                                      "stencil_complex"])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("scale", [2.0**530, 2.0**-530])
+    def test_power_of_two_scale(self, kind, hermitian, scale):
+        if kind.startswith("graded"):
+            base = graded_base("complex" if kind.endswith("complex") else "real")
+        else:
+            base = gen_convection_diffusion_2d(6, 1.0)
+            if kind.endswith("complex"):
+                base = base + 1j * scipy.sparse.diags(np.linspace(0.0, 1.0, 36))
+            base = base.tocsr()
+        seq = ProblemSequence(base=base, length=3, eps=1e-3, seed=9, hermitian=hermitian)
+        scaled = dataclasses.replace(seq, base=base * scale)
+        pairs = list(zip(gen_perturbation_sequence(seq),
+                         gen_perturbation_sequence(scaled), strict=True))
+        assert len(pairs) == 3
+        for (A, b), (S, c) in pairs:
+            assert type(S) is type(A) and np.array_equal(b, c)
+            A, S = dense(A), dense(S)
+            assert np.all(np.isfinite(S))
+            # dividing by a power of two is exact on these entries
+            assert np.linalg.norm(S / scale - A) <= 1e-15 * np.linalg.norm(A)
+
 
 class TestOracle:
     def test_inverse_diag(self):
