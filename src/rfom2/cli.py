@@ -175,6 +175,9 @@ def _check_values(cfg):
         raise ParseError(f"config key {key!r}: small_min = {cfg.small_min} and "
                          f"small_max = {cfg.small_max} are not nonzero and of "
                          "one sign")
+    if cfg.problem == "graded_hermitian" and cfg.bulk_min > cfg.bulk_max:
+        raise ParseError(f"config key 'bulk_max': {cfg.bulk_max} is below "
+                         f"bulk_min = {cfg.bulk_min}")
     if not 0.0 < cfg.contour_margin < np.inf:
         raise ParseError(f"config key 'contour_margin': {cfg.contour_margin} "
                          "is not a positive number")

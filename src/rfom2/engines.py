@@ -25,9 +25,10 @@ node by node, in ascending node order. `rfom_v2`, and through it
 decomposition of its pencil z E - F, whose E is Hermitian positive
 definite: one `eigh` when F is Hermitian, as it is for Hermitian A, and
 otherwise the Cholesky factor E = L L^* and one complex Schur form of
-L^{-1} F L^{-*}. The harmonic Ritz update reduces its own non-Hermitian
-pencil by the same factor (`_cholesky_reduced`). `rfom_v3` is `rfom_v2`
-plus the plain Krylov quadrature error `arnoldi_direct - arnoldi_quad`.
+L^{-1} F L^{-*}. `_decompose` reduces every pencil, `arnoldi_direct` and
+the harmonic Ritz update read eigenpairs off its form (`_eigenpairs`), and
+`rfom_v3` is `rfom_v2` plus the Krylov quadrature error `arnoldi_direct -
+arnoldi_quad`.
 
 On a real problem (real V, Hbar, U and C) whose nodes and coefficients
 come in conjugate pairs, as on a trapezoid circle with a real centre, the
@@ -193,25 +194,21 @@ def _node_factor(fun, rule):
 def arnoldi_direct(dec, fun):
     """||b|| V_j f(H_j) e_1, with f evaluated densely on the Hessenberg matrix.
 
-    An `_EigenRoute` f reads H_j's decomposition off the memo: the empty
-    subspace's pencil is (I_j, H_j), which `arnoldi_quad` decomposes too.
-    Hermitian H_j gives H_j = X diag(lambda) X^*; otherwise the Cholesky
-    factor of I_j is I_j, the complex Schur form is H_j = Z T Z^*, and one
-    `eig` of the triangular T = X diag(w) X^{-1} gives P = Z X. Any other
-    dense_f, and a real non-Hermitian H_j, whose real `eig` keeps f(H_j)
-    real where its eigenvalues are and a complex Schur form would not, call
-    dense_f on H_j.
+    An `_EigenRoute` f reads H_j's eigenpairs off the memo (`_eigenpairs`):
+    the empty subspace's pencil is (I_j, H_j), which `arnoldi_quad`
+    decomposes too, so Hermitian H_j gives H_j = X diag(lambda) X^* with X
+    unitary, and otherwise the Cholesky factor of I_j is I_j and the
+    eigenvectors P = Z Y come from the complex Schur form H_j = Z T Z^*.
+    Any other dense_f, and a real non-Hermitian H_j, whose real `eig` keeps
+    f(H_j) real where its eigenvalues are and a complex Schur form would
+    not, call dense_f on H_j.
     """
     if not isinstance(fun.dense_f, _EigenRoute) \
             or (np.isrealobj(dec.Hbar) and not is_hermitian(dec.H)):
         return dec.beta * (dec.Vj @ fun.dense_f(dec.H)[:, 0])
-    T, Z, solve_l = _projection(dec, RecycleSubspace.empty(dec.V.shape[0])).form()
-    e1 = np.eye(dec.j, 1)[:, 0]
-    if solve_l is None:  # T holds the eigenvalues
-        y = fun.dense_f.apply(T, Z, e1, unitary=True)
-    else:
-        w, X = eig_dense(T)
-        y = fun.dense_f.apply(w, Z @ X, e1, unitary=False)
+    form = _projection(dec, RecycleSubspace.empty(dec.V.shape[0])).form()
+    w, P = _eigenpairs(form)
+    y = fun.dense_f.apply(w, P, np.eye(dec.j, 1)[:, 0], unitary=form[2] is None)
     return dec.beta * (dec.Vj @ y)
 
 
@@ -264,24 +261,35 @@ def rfom_v1(dec, rec, fun, rule):
 
 
 def _decompose(E, F):
-    """(T, Z, solve_l), the decomposition of the pencil z E - F that
-    `_node_sum` reads. E must be Hermitian positive definite (else
-    LinAlgError).
+    """(T, Z, solve_l), the one decomposition of a pencil z E - F: v2's,
+    H_j's or the harmonic Ritz update's, read by `_node_sum` and
+    `_eigenpairs`. E must be Hermitian positive definite (else LinAlgError).
 
     F Hermitian to `is_hermitian`'s 1e-12: one `eigh` gives F Z = E Z T
     with Z^* E Z = I and T the vector of eigenvalues, and solve_l is None.
-    Otherwise E = L L^* and the complex Schur form L^{-1} F L^{-*} = Z T Z^*
-    (`_cholesky_reduced`, shared with the harmonic Ritz update), with
-    solve_l(X) = L^{-1} X. L is complex like T and Z, so a real pencil and
-    its complex cast share L, T and Z and the conjugate fold changes only
-    the node sum.
+    Otherwise E = L L^* and the complex Schur form L^{-1} F L^{-*} = Z T Z^*,
+    with solve_l(X) = L^{-1} X and solve_l(X, trans="C") = L^{-*} X. L is
+    complex like T and Z, so a real pencil and its complex cast share L, T
+    and Z and the conjugate fold changes only the node sum.
     """
     if is_hermitian(F):
         lam, X = scipy.linalg.eigh(F, E, check_finite=False)
         return lam, X, None
-    solve_l, M = _cholesky_reduced(E, F)
-    T, Z = scipy.linalg.schur(M, output="complex")
+    L = scipy.linalg.cholesky(E.astype(np.complex128), lower=True)
+    solve_l = partial(scipy.linalg.solve_triangular, L, lower=True, check_finite=False)
+    T, Z = scipy.linalg.schur(solve_l(solve_l(F).conj().T).conj().T, output="complex")
     return T, Z, solve_l
+
+
+def _eigenpairs(form):
+    """(w, X) with F X = E X diag(w), from the `_decompose` form of z E - F:
+    `eigh`'s pairs, with X^* E X = I, or, from the Schur form, the
+    eigenvalues w and eigenvectors Y of the triangular T and X = L^{-*} Z Y."""
+    T, Z, solve_l = form
+    if solve_l is None:
+        return T, Z
+    w, Y = eig_dense(T)
+    return w, solve_l(Z @ Y, trans="C")
 
 
 def _node_sum(form, rhs, nodes, mu):
@@ -303,18 +311,6 @@ def _node_sum(form, rhs, nodes, mu):
     for i in range(T.shape[0] - 1, -1, -1):
         Y[i] = (c[i] + T[i, i + 1:] @ Y[i + 1:]) / gap[i]
     return solve_l(Z @ (Y @ mu), trans="C")
-
-
-def _cholesky_reduced(E, F):
-    """(solve_l, M): the pencil (E, F), E = L L^* Hermitian positive definite
-    (else LinAlgError), reduced to the matrix M = L^{-1} F L^{-*} with the
-    same eigenvalues, F x = lambda E x for M h = lambda h and x = L^{-*} h.
-    solve_l(X) is L^{-1} X and solve_l(X, trans="C") is L^{-*} X. L is
-    complex, so a real pencil and its complex cast share L and M.
-    """
-    L = scipy.linalg.cholesky(E.astype(np.complex128), lower=True)
-    solve_l = partial(scipy.linalg.solve_triangular, L, lower=True, check_finite=False)
-    return solve_l, solve_l(solve_l(F).conj().T).conj().T
 
 
 def _check_nodes(nodes, lam):

@@ -4,16 +4,19 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import as_operator
-from .core import RankDeficient, is_hermitian, svd_values
-from .engines import RecycleSubspace, _augmented_pencil, _cholesky_reduced
+from .core import RankDeficient, svd_values
+from .engines import RecycleSubspace, _augmented_pencil, _decompose, _eigenpairs
 
 
 # Relative tie between two harmonic Ritz magnitudes at the selection's cut.
-# The members of a conjugate pair of a real A differ by rounding: at most
-# 1.7e-8 over 26,392 pairs of 1,440 convdiff2d pencils (m 8-20, convection
-# 0.5-3, four problems each, the later pencils complex like U). Distinct
-# magnitudes at the cut were at least 4.5e-4 apart on those pencils, 8.2e-5
-# on 300 complex-nonherm benchmark pencils and 1.4e-2 on the Hermitian ones.
+# The members of a conjugate pair of a real A differ by rounding, and on
+# later pencils, complex like U, by span(U)'s drift from its conjugate: at
+# most 9.5e-13 on the first and 3.9e-7 on all of 1,440 convdiff2d pencils
+# (m 8-20, convection 0.5-3 but not 2, j 15/40, k 4/10, fixed and perturbed,
+# four problems each), among the k+1 largest |nu|. Distinct magnitudes at
+# the cut were at least 2.0e-4 apart there, 8.2e-5 on 300 complex-nonherm
+# benchmark pencils and 1.4e-2 on Hermitian ones. At convection 2 a stencil
+# off-diagonal vanishes, A is defective, and pairs differed by up to 9.7e-6.
 TIE_RTOL = 1e-6
 
 
@@ -55,12 +58,11 @@ def harmonic_ritz_update(dec, rec, op, k):
     sits at the origin; infinite or NaN pairs are skipped. lhs is positive
     definite, so the pencil is solved for nu = 1/theta, rhs g = nu lhs g:
     the smallest |theta| are the largest |nu|, and nu = 0 is an infinite
-    theta. When rhs is Hermitian to `is_hermitian`'s 1e-12, as it is for
-    Hermitian A, one `eigh` solves it. Otherwise the Cholesky factor
-    lhs = L L^* reduces it to one standard `eig` of L^{-1} rhs L^{-*}, as
-    v2's node sum reduces its pencil (`engines._cholesky_reduced`). Where
-    `eigh` or the factor fails, a general `eig` (QZ) solves lhs g = theta rhs g
-    as it stands.
+    theta. Its pairs come from `engines._eigenpairs(_decompose(lhs, rhs))`,
+    as z E - F's: one `eigh` when rhs is Hermitian to `is_hermitian`'s 1e-12,
+    as it is for Hermitian A, else the Cholesky factor lhs = L L^* and one
+    complex Schur form of L^{-1} rhs L^{-*}. Where `eigh` or the factor
+    fails, a general `eig` (QZ) solves lhs g = theta rhs g as it stands.
 
     The selection never splits a tie: when the k-th and the (k+1)-th |theta|
     agree to TIE_RTOL, as the two members of a conjugate pair of a real A
@@ -106,12 +108,7 @@ def _selected_pairs(lhs, rhs, k):
     selects, smallest |theta| first, with no tie at the cut. Raises
     RankDeficient when no theta is finite."""
     try:
-        if is_hermitian(rhs):
-            nu, vectors = scipy.linalg.eigh(rhs, lhs, check_finite=False)
-        else:
-            solve_l, M = _cholesky_reduced(lhs, rhs)
-            nu, h = scipy.linalg.eig(M, check_finite=False)
-            vectors = solve_l(h, trans="C")
+        nu, vectors = _eigenpairs(_decompose(lhs, rhs))
     except scipy.linalg.LinAlgError:  # lhs is not numerically positive definite
         theta, vectors = scipy.linalg.eig(lhs, rhs, check_finite=False)
         ranked = np.argsort(np.abs(theta))

@@ -87,7 +87,9 @@ class TestParseConfig:
                           ("eps = nan", "eps"), ("convection = nan", "convection"),
                           ("small_min = nan", "small_min"), ("m = 0", "m"),
                           ("problem = graded_hermitian\nn = 30\nsmall_count = 40",
-                           "small_count")):
+                           "small_count"),
+                          ("problem = graded_hermitian\nbulk_min = 20\nbulk_max = 5",
+                           "bulk_max")):
             path = write_config(tmp_path, f"m = 8\n{line}\n")
             with pytest.raises(ParseError, match=repr(key)):
                 parse_config(path)
@@ -168,16 +170,19 @@ class TestRunExperiment:
 
     def test_single_ritz_value_inside_the_plain_circle(self, tmp_path):
         # j = 1 gives one Ritz value, and its plain circle holds inverse's
-        # singularity at 0: the guarded contour must still separate them
-        cfg = ExperimentConfig(problem="graded_hermitian", n=50, small_count=5,
-                               small_min=0.01, small_max=0.02, bulk_min=0.03,
-                               bulk_max=0.05, function="inverse", j=1, k=2,
-                               n_quad=200, n_problems=3,
-                               engines="arnoldi,arnoldi_q,v1,v2,v3",
-                               output=str(tmp_path / "out.csv"))
-        report = run_experiment(cfg)
-        assert len(report.rows) == 15
-        assert {r["status"] for r in report.rows} == {"ok"}
+        # singularity at 0: the guarded contour must still separate them,
+        # also on the README example's seed with subspace angles tracked
+        for seed, track_angle in ((0, False), (11, True)):
+            cfg = ExperimentConfig(problem="graded_hermitian", n=50, small_count=5,
+                                   small_min=0.01, small_max=0.02, bulk_min=0.03,
+                                   bulk_max=0.05, function="inverse", j=1, k=2,
+                                   n_quad=200, n_problems=3, seed=seed,
+                                   track_angle=track_angle,
+                                   engines="arnoldi,arnoldi_q,v1,v2,v3",
+                                   output=str(tmp_path / "out.csv"))
+            report = run_experiment(cfg)
+            assert len(report.rows) == 15
+            assert {r["status"] for r in report.rows} == {"ok"}
 
     def test_huge_results_keep_finite_errors(self, tmp_path):
         # exp on a spectrum reaching 298 makes the quadrature engines'
@@ -232,7 +237,8 @@ class TestRunExperiment:
         # the same Laplacian times 1e160 at seed 0: the guarded circle's
         # need * avail overflows on problem 1, and the update's pencil
         # would overflow, were it not scaled, so that no harmonic Ritz value
-        # were finite; it keeps the unscaled k = 2 instead
+        # were finite; it keeps the unscaled k = 2 instead. With eps > 0 the
+        # perturbed matrices stay finite too, and every row is ok
         mfile = tmp_path / "huge.mtx"
         save_matrix_market(mfile, gen_laplacian_2d(6) * 1e160)
         cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
@@ -244,6 +250,10 @@ class TestRunExperiment:
         assert [first[e] for e in ("arnoldi_q", "v1", "v2", "v3")] == ["ok"] * 4
         assert report.select(engine="recycle") == []
         assert {r["k"] for r in report.select(problem_index=2)} == {2}
+        report = run_experiment(dataclasses.replace(cfg, eps=1e-3, n_problems=3, seed=11,
+                                                    track_angle=True))
+        assert len(report.rows) == 15
+        assert {r["status"] for r in report.rows} == {"ok"}
 
     def test_fixed_circle(self, tmp_path):
         # contour_center and contour_radius replace the guarded circle:
@@ -617,7 +627,8 @@ class TestMain:
 
     def test_graded_cluster_bounds_exit_2(self, tmp_path, capsys):
         # the small cluster is geometrically spaced, so a zero bound or
-        # bounds of opposite sign are a config error, not a crash in the run
+        # bounds of opposite sign are a config error, not a crash in the run,
+        # and so is a bulk whose bounds are reversed, even with no bulk left
         cfgfile = write_config(tmp_path, f"""
             problem = graded_hermitian
             n = 40
@@ -627,7 +638,8 @@ class TestMain:
         """)
         for sets, key in ((["small_min=0"], "small_min"), (["small_max=0"], "small_max"),
                           (["small_min=-1"], "small_max"),
-                          (["small_min=0", "small_max=0"], "small_min")):
+                          (["small_min=0", "small_max=0"], "small_min"),
+                          (["bulk_min=20", "bulk_max=5", "small_count=40"], "bulk_max")):
             argv = ["run", cfgfile] + [a for s in sets for a in ("--set", s)]
             assert main(argv) == 2
             err = capsys.readouterr().err

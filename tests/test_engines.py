@@ -767,7 +767,7 @@ def random_unitary(rng, m):
 
 class TestPencilKernel:
     """The node-sum kernel, of v2's pencil and of arnoldi_quad's (I, H),
-    against a per-node LU loop."""
+    against a per-node LU loop, and the eigenpairs read off its form."""
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(1, 12), n_nodes=st.integers(1, 24),
@@ -822,6 +822,29 @@ class TestPencilKernel:
         with pytest.raises(SingularShift):
             rfom_v1(dec, RecycleSubspace.from_basis(A, U), function_catalog("inverse"),
                     self.node_on_ritz_value)
+
+    # Largest ratio of the residual to the bound's scale over 3,000 such
+    # draws: 4.6e-16.
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 30), cplx=st.booleans(), hermitian=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eigenpairs_solve_the_pencil(self, m, cplx, hermitian, seed):
+        # E Hermitian positive definite with eigenvalues in [0.5, 2], F
+        # Hermitian (the eigh branch) or general (the Schur branch)
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if cplx else x
+
+        W = np.linalg.qr(draw(m, m))[0]
+        E = (W * rng.uniform(0.5, 2.0, m)) @ W.conj().T
+        F = draw(m, m)
+        if hermitian:
+            F = F + F.conj().T
+        w, X = engines._eigenpairs(engines._decompose(E, F))
+        scale = np.linalg.norm(F) + np.linalg.norm(E) * np.max(np.abs(w))
+        assert np.linalg.norm(F @ X - E @ X * w) <= 1e-14 * scale * np.linalg.norm(X)
 
     def test_v2_node_on_ritz_value_k4(self):
         # U in the second invariant block: V_j is orthogonal to U and C, so

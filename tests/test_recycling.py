@@ -22,7 +22,7 @@ from rfom2 import (
 )
 from rfom2 import engines
 from rfom2.core import RankDeficient, is_hermitian
-from rfom2.engines import _cholesky_reduced, rfom_v2
+from rfom2.engines import _decompose, rfom_v2
 from rfom2.problems import function_catalog, gen_convection_diffusion_2d, gen_laplacian_2d
 from rfom2.quadrature import guarded_contour, trapezoid_contour
 from rfom2.recycling import TIE_RTOL, _selected_pairs
@@ -30,16 +30,18 @@ from rfom2.recycling import TIE_RTOL, _selected_pairs
 
 def reference_pairs(lhs, rhs, k, reduced=False, untie=True):
     """(vectors, selected): the pencil lhs g = theta rhs g solved by one
-    general eig (QZ) or, with reduced, by the Cholesky factor lhs = L L^*
-    and one eig of L^{-1} rhs L^{-*}, whose eigenvalues are nu = 1/theta,
-    with g = L^{-*} h; the k smallest finite |theta|, smallest first, less,
+    general eig (QZ) or, with reduced, by the Cholesky factor lhs = L L^*,
+    the complex Schur form L^{-1} rhs L^{-*} = Z T Z^* and one eig of the
+    triangular T, whose eigenvalues are nu = 1/theta and eigenvectors Y,
+    with g = L^{-*} Z Y; the k smallest finite |theta|, smallest first, less,
     with untie, each one whose magnitude ties the first left out to TIE_RTOL."""
     if reduced:
         L = scipy.linalg.cholesky(lhs.astype(complex), lower=True)
         LinvR = scipy.linalg.solve_triangular(L, rhs, lower=True)
         M = scipy.linalg.solve_triangular(L, LinvR.conj().T, lower=True).conj().T
-        nu, h = scipy.linalg.eig(M)
-        vectors = scipy.linalg.solve_triangular(L, h, lower=True, trans="C")
+        T, Z = scipy.linalg.schur(M, output="complex")
+        nu, Y = np.linalg.eig(T)
+        vectors = scipy.linalg.solve_triangular(L, Z @ Y, lower=True, trans="C")
         order = [i for i in np.argsort(-np.abs(nu)) if nu[i] != 0.0]
         size = np.abs(nu)
     else:
@@ -335,7 +337,9 @@ class TestReducedUpdate:
 
     # Largest angle between the reduced and QZ updates over seeds 0-199 of
     # `convdiff_sequence` (j = 20, k = 6, four problems, real and complex):
-    # 1.1e-7, with the same k on all 1,600 updates.
+    # 7.6e-7, with the same k on all 1,600 updates. On that update (real,
+    # seed 198, problem 3) QZ's subspace is 6.4e-7 from a 40-digit one and
+    # the reduced route's 1.2e-7; the next largest angle is 1.1e-7.
     ANGLE_TOL = 1e-6
 
     def test_reduced_selects_the_qz_subspace(self):
@@ -378,7 +382,7 @@ class TestReducedUpdate:
         lhs, rhs = harmonic_ritz_pencil(dec, rec)
         assert not is_hermitian(rhs)
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky_reduced(lhs, rhs)
+            _decompose(lhs, rhs)
         new, ref = harmonic_ritz_update(dec, rec, A, 4), eig_update(dec, rec, 4)
         assert new.k > 0 and np.array_equal(new.U, ref.U) and np.array_equal(new.C, ref.C)
 
