@@ -281,7 +281,10 @@ def _make_rule(cfg, n_quad, dec, fun):
 
 
 class _OracleCache:
-    """The oracle's eigendecomposition of the current operator in one run."""
+    """The oracle's eigendecomposition of the current operator in one run:
+    a `problems.HermitianEig` on the Hermitian path (the tridiagonal's
+    eigenpairs and Q's reflectors, no n x n eigenvector matrix), else
+    `eig`'s (w, V)."""
 
     def __init__(self, hermitian):
         self.hermitian = hermitian
@@ -342,7 +345,9 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
 
     The stages: Arnoldi; the oracle; with update and k > 0, the harmonic
     Ritz update and, with track_angle on a Hermitian matrix, its angle to
-    the oracle's first eigenvectors; then for each node count in n_list
+    the oracle's eigenvectors of the new.k eigenvalues smallest in
+    magnitude (`HermitianEig.smallest`, which applies Q to those columns
+    of Z only); then for each node count in n_list
     the rule, every engine on rec, and one ok row per engine that ran, its
     rel_error against the oracle's f(A)b or else the first engine's result.
 
@@ -363,7 +368,7 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
             eig = cache.eig_for(A)
             reference = oracle_apply(fun, eig, b, hermitian=cache.hermitian)
         except _FAILURES as exc:
-            diag = float(eig[0][0]) if eig is not None and cache.hermitian else ""
+            diag = float(eig.w[0]) if eig is not None and cache.hermitian else ""
             report.add(engine="oracle", imag_residue=diag, status=_status(exc), **row)
     angle, new = "", rec
     if update and cfg.k > 0:
@@ -371,7 +376,7 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
         try:
             new = harmonic_ritz_update(dec, rec, op, cfg.k)
             if cfg.track_angle and eig is not None and cache.hermitian and new.k:
-                angle = subspace_angle(new.U, eig[1][:, : new.k])
+                angle = subspace_angle(new.U, eig.smallest(new.k))
         except _FAILURES as exc:
             report.add(engine="recycle", status=_status(exc), **row)
     for n_quad in n_list:
@@ -428,9 +433,10 @@ def run_experiment(cfg):
 def sweep_quadrature(cfg, n_list):
     """Fixed first problem, one row per (n_quad, engine).
 
-    With k > 0 the augmentation subspace is the k smallest oracle
-    eigenvectors of the matrix (the single-problem augmentation setup);
-    the sweep exposes where each engine's error stagnates.
+    With k > 0 on a Hermitian matrix the augmentation subspace is the
+    oracle's eigenvectors of the k eigenvalues smallest in magnitude
+    (`HermitianEig.smallest`; the single-problem augmentation setup); the
+    sweep exposes where each engine's error stagnates.
     """
     engine_names, fun, seq, cache = _setup(cfg, 1, 0.0)
     if len(n_list) == 0:
@@ -443,7 +449,7 @@ def sweep_quadrature(cfg, n_list):
     rec = RecycleSubspace.empty(A.shape[0])
     if cfg.k > 0 and cache is not None and cache.hermitian:
         try:
-            rec = RecycleSubspace.from_basis(op, cache.eig_for(A)[1][:, : cfg.k])
+            rec = RecycleSubspace.from_basis(op, cache.eig_for(A).smallest(cfg.k))
         except _FAILURES:
             pass  # _solve_problem reports the oracle's failure
     _solve_problem(cfg, engine_names, fun, cache, report, 1, A, op, b, rec,

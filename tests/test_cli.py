@@ -168,6 +168,27 @@ class TestRunExperiment:
         e_rec = report.select(engine="v2", problem_index=4)[0]["rel_error"]
         assert e_rec < e_plain
 
+    def test_angle_to_the_smallest_magnitude_eigenvectors(self, tmp_path):
+        # an indefinite matrix with six isolated eigenvalues +-0.1, +-0.3,
+        # +-0.5 inside a bulk in +-[1, 4]: the update selects the smallest
+        # |theta|, so its U converges to the eigenvectors of the six
+        # smallest |lambda| (angles 0.045, 0.015, 0.0026 on problems 2-4),
+        # while the six most negative eigenvalues' span stays at pi/2
+        n = 120
+        rng = np.random.default_rng(0)
+        bulk = rng.uniform(1.0, 4.0, n - 6) * rng.choice([-1.0, 1.0], n - 6)
+        lam = np.concatenate([[-0.5, -0.3, -0.1, 0.1, 0.3, 0.5], bulk])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * lam) @ Q.T
+        mfile = tmp_path / "indefinite.mtx"
+        save_matrix_market(mfile, 0.5 * (A + A.T))
+        cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(mfile),
+                               function="exp", n_quad=64, j=40, k=6, n_problems=4,
+                               seed=3, track_angle=True, engines="v2",
+                               output=str(tmp_path / "out.csv"))
+        angles = [r["subspace_angle"] for r in run_experiment(cfg).rows]
+        assert max(angles[1:]) <= 0.1 and angles[-1] <= 1e-2, angles
+
     def test_single_ritz_value_inside_the_plain_circle(self, tmp_path):
         # j = 1 gives one Ritz value, and its plain circle holds inverse's
         # singularity at 0: the guarded contour must still separate them,

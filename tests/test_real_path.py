@@ -63,7 +63,7 @@ def test_real_path_matches_complex_path(eps):
         dec, decc = arnoldi(op, b, j), arnoldi(opc, bc, j)
         assert dec.V.dtype == dec.Hbar.dtype == np.float64
         eig, eigc = oracle_eig(A, hermitian=True), oracle_eig(Ac, hermitian=True)
-        assert eig[1].dtype == np.float64
+        assert eig.Z.dtype == eig.reflectors.dtype == eig.tau.dtype == np.float64
         for name, fun in functions.items():
             ref = oracle_apply(fun, eigc, bc, hermitian=True)
             assert relerr(oracle_apply(fun, eig, b, hermitian=True), ref) <= VECTOR_TOL
