@@ -156,19 +156,29 @@ def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
     """Hermitian matrix with a graded spectrum: a few small outlying
     eigenvalues below a well-separated bulk.
 
-    Built as Q diag(lam) Q^T with a random orthogonal Q; the small
-    cluster is logarithmically spaced. Returned in CSR form like every
-    other input; no entry is zero, so the CSR stores all n^2 of them and
-    `gen_perturbation_sequence` runs the matrix dense.
+    Built as Q diag(lam) Q^T with a random orthogonal Q, the Q factor of
+    a Gaussian matrix (R is never kept); the small cluster is
+    logarithmically spaced. Returned in CSR form like every other input:
+    a CSR built on the symmetrized array's own buffer, which stores all
+    n^2 entries, an exact zero included, so `gen_perturbation_sequence`
+    runs the matrix dense on that buffer. On a matrix with no zero entry
+    it equals `csr_matrix` of the array entry for entry. The traced peak
+    is about 3 n^2 doubles: Q, Q diag(lam) and their product.
     """
     rng = np.random.default_rng(seed)
     small = np.geomspace(small_range[0], small_range[1], small_count)
     bulk = np.sort(rng.uniform(bulk_range[0], bulk_range[1], n - small_count))
     lam = np.concatenate([small, bulk])
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = scipy.linalg.qr(rng.standard_normal((n, n)), mode="economic",
+                        overwrite_a=True, check_finite=False)[0]
     A = (Q * lam) @ Q.T
+    del Q
     A = 0.5 * (A + A.T)
-    return scipy.sparse.csr_matrix(A)
+    # the index dtype csr_matrix picks for n^2 stored entries
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    return scipy.sparse.csr_matrix(
+        (A.ravel(), np.tile(np.arange(n, dtype=index), n),
+         np.arange(0, n * n + 1, n, dtype=index)), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +212,9 @@ def gen_perturbation_sequence(seq):
     nothing there; any other base yields CSR matrices. Canonical CSR data
     is in row-major order, so both forms draw E from the generator in the
     same order, and the dense matrices equal the CSR ones to the bit.
+    The first dense matrix is that row-major data itself, reshaped, not a
+    copy: it shares the base's storage (a graded base's is the
+    generator's array), so nothing may write into it.
     """
     if seq.rhs_policy not in ("random_each", "fixed"):
         raise ValueError(f"unknown rhs policy {seq.rhs_policy!r}")
@@ -210,9 +223,9 @@ def gen_perturbation_sequence(seq):
     A.sum_duplicates()  # canonical: sorted indices, no duplicate entries
     n = A.shape[0]
     base_fro = norm(A)
-    is_real = bool(np.all(A.data.imag == 0.0))
+    is_real = np.isrealobj(A.data) or not A.data.imag.any()
     dense = A.nnz == A.shape[0] * A.shape[1]
-    current = A.toarray() if dense else A
+    current = A.data.reshape(A.shape) if dense else A
 
     def random_values(shape):
         if is_real:
@@ -254,7 +267,8 @@ class HermitianEig:
     Fortran-order (n-1) x (n-1) block that `?ormqr`/`?unmqr` read in place
     (a block of A's dtype meets a B of its own), and `tau` their scalars. Q Z, A's eigenvector matrix, is never
     formed; that product is about 2n^3 of `?syevd`'s ~4.7n^3 flops. A real
-    A keeps real factors throughout.
+    A keeps real factors throughout. Building it takes a transient of
+    about 3 n^2 entries beside A (`_hermitian_eig`).
     """
 
     w: np.ndarray
@@ -286,6 +300,12 @@ class HermitianEig:
 
 
 def _hermitian_eig(A):
+    """A's `HermitianEig`; ValueError unless A is Hermitian to 1e-10.
+
+    Beside A the transient is about 3 n^2 entries: the copy that
+    `?sytrd`/`?hetrd` overwrite and the reflector block cut from it, then,
+    with the copy dropped, the block, Z and `dstevd`'s n^2 workspace.
+    """
     A = np.asarray_chkfinite(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
@@ -297,12 +317,16 @@ def _hermitian_eig(A):
     trd, trd_lwork = scipy.linalg.get_lapack_funcs((name, name + "_lwork"), (a,))
     lwork = int(trd_lwork(n, lower=1)[0].real)
     a, d, e, tau, _ = trd(a, lower=1, lwork=lwork, overwrite_a=1)
+    # cut the reflector block and free the full factor before dstevd
+    # allocates Z and its workspace
+    reflectors = np.asfortranarray(a[1:, :-1])
+    del a
     # ?sytrd/?hetrd leave T real; dstevd is the divide and conquer that
     # ?syevd runs on it, and its wrapper takes e of length max(n - 1, 1)
     w, Z, info = scipy.linalg.lapack.dstevd(d, e if n > 1 else np.zeros(1))
     if info:
         raise NoConvergence(f"tridiagonal eigensolver did not converge (info {info})")
-    return HermitianEig(w, Z, np.asfortranarray(a[1:, :-1]), tau)
+    return HermitianEig(w, Z, reflectors, tau)
 
 
 def oracle_eig(A, hermitian=False):

@@ -2,10 +2,13 @@
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfom2.cli
 import rfom2.engines
@@ -27,7 +30,8 @@ from rfom2 import (
     gen_perturbation_sequence,
     trapezoid_contour,
 )
-from rfom2.problems import gen_laplacian_2d, save_matrix_market
+from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d, \
+    save_matrix_market
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -701,3 +705,105 @@ class TestRunReport:
         with open(report.path, newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert (row["rel_error"], row["wall_ms"], row["k"]) == ("0.1", "0.25", "")
+
+
+# the fuzzer's Matrix Market inputs: small stencils, each scaled by one of
+# SCALES; 1e160 and 1e-160 put entries past the square-root range
+SCALES = (1.0, 1e160, 1e-160)
+
+
+def stencil(kind, m):
+    """A real non-Hermitian, complex non-Hermitian or complex Hermitian
+    stencil on an m x m grid."""
+    if kind == "real":
+        return gen_convection_diffusion_2d(m, 1.0)
+    if kind == "complex":
+        return gen_convection_diffusion_2d(m, 1.0) \
+            + 1j * scipy.sparse.diags(np.linspace(0.0, 1.0, m * m))
+    S = scipy.sparse.kron(scipy.sparse.identity(m),
+                          scipy.sparse.diags([1.0], [1], shape=(m, m)))
+    return gen_laplacian_2d(m) + 1j * (S - S.T)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for kind in ("real", "complex", "hermitian"):
+        for m in (2, 4):
+            for scale in SCALES:
+                save_matrix_market(path / f"{kind}{m}_{scale:g}.mtx",
+                                   (stencil(kind, m) * scale).tocsr())
+    return path
+
+
+@st.composite
+def fuzz_configs(draw):
+    """The lines of a config that parse_config accepts."""
+    problem = draw(st.sampled_from(["laplacian2d", "convdiff2d", "graded_hermitian",
+                                    "matrix_market"]))
+    cfg = dict(problem=problem)
+    if problem in ("laplacian2d", "convdiff2d"):
+        cfg.update(m=draw(st.integers(1, 6)),
+                   convection=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
+    elif problem == "graded_hermitian":
+        n = draw(st.integers(1, 40))
+        ends = st.sampled_from([0.5, 1.5, 5.0, 20.0, 100.0])
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        bulk = sorted(draw(st.sampled_from([-100.0, -5.0, 0.0, 1.5, 20.0, 100.0]))
+                      for _ in range(2))
+        cfg.update(n=n, small_count=draw(st.integers(0, n)),
+                   small_min=sign * draw(ends), small_max=sign * draw(ends),
+                   bulk_min=bulk[0], bulk_max=bulk[1])
+    else:
+        kind = draw(st.sampled_from(["real", "complex", "hermitian"]))
+        cfg["matrix_file"] = f"{kind}{draw(st.sampled_from([2, 4]))}_" \
+                             f"{draw(st.sampled_from(SCALES)):g}.mtx"
+    quad_kind = draw(st.sampled_from(["contour", "stieltjes"]))
+    function = "invsqrt" if quad_kind == "stieltjes" else draw(st.sampled_from(
+        ["inverse", "invsqrt", "sqrt", "log", "exp", "sign_via_invsqrt"]))
+    center, radius = draw(st.sampled_from([("auto", "auto"), ("0", "1"), ("10", "5"),
+                                           ("1+1j", "0.5"), ("50", "100")]))
+    cfg.update(
+        function=function, quad_kind=quad_kind,
+        n_quad=draw(st.integers(1 if quad_kind == "stieltjes" else 2, 64)),
+        j=draw(st.integers(1, 5) | st.integers(1, 40)), k=draw(st.integers(0, 8)),
+        eps=draw(st.sampled_from([0.0, 1e-3, 0.5])),
+        contour_margin=draw(st.sampled_from([1e-3, 0.1, 2.0])),
+        contour_center=center, contour_radius=radius,
+        rhs_policy=draw(st.sampled_from(["random_each", "fixed"])),
+        hermitian=draw(st.booleans()), track_angle=draw(st.booleans()),
+        oracle=draw(st.booleans()), n_problems=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+        engines=",".join(draw(st.lists(st.sampled_from(list(rfom2.cli.ENGINES)),
+                                       min_size=1, max_size=5, unique=True))))
+    return cfg
+
+
+class TestConfigFuzz:
+    """Every config parse_config accepts runs to a report; the only
+    exception a run may raise is ParseError, for a j that is not below the
+    matrix dimension or hermitian = true on a non-Hermitian matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=fuzz_configs())
+    def test_every_accepted_config_runs(self, fuzz_dir, cfg):
+        path = fuzz_dir / "fuzz.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items())
+                        + f"output = {fuzz_dir / 'fuzz.csv'}\n")
+        parsed = parse_config(str(path))
+        if parsed.problem == "matrix_market":
+            parsed.matrix_file = str(fuzz_dir / parsed.matrix_file)
+        with warnings.catch_warnings():
+            if parsed.problem == "matrix_market" \
+                    and not parsed.matrix_file.endswith("_1.mtx"):
+                # entries past 1e154 overflow the stages that square them;
+                # those failures become rows (test_entries_past_sqrt_range_*)
+                warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+                warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
+            try:
+                report = run_experiment(parsed)
+            except ParseError:
+                return
+        assert isinstance(report, RunReport) and report.rows
+        assert all(r["status"] == "ok" or r["status"].startswith("error:")
+                   for r in report.rows)

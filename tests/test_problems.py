@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from rfom2 import (
     ProblemSequence,
     UnknownFunction,
     UnsupportedFormat,
+    arnoldi,
+    as_operator,
     function_catalog,
     gen_convection_diffusion_2d,
     gen_graded_hermitian,
@@ -314,6 +317,69 @@ class TestSequenceScale:
             assert np.all(np.isfinite(S))
             # dividing by a power of two is exact on these entries
             assert np.linalg.norm(S / scale - A) <= 1e-15 * np.linalg.norm(A)
+
+
+def traced_peak(fun, *args):
+    """The peak of tracemalloc's traced memory during fun(*args), above what
+    was traced when it started, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fun(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestGradedStorage:
+    """One copy of a graded matrix: the generator's CSR is built on its
+    dense array, and the sequence runs on that array."""
+
+    @pytest.mark.parametrize("n", [2, 60, 300])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_csr_is_csr_matrix_of_the_array(self, n, seed):
+        A = gen_graded_hermitian(n, small_count=1 if n == 2 else 20, seed=seed)
+        R = scipy.sparse.csr_matrix(A.toarray())
+        assert A.has_canonical_format and A.nnz == n * n
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(A, part), getattr(R, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_generator_peak(self):
+        # Q, Q diag(lam) and their product: 3.2 n^2 doubles; converting
+        # the array to CSR reads 5.0, and keeping R past the product 4.0
+        n = 300
+        assert traced_peak(gen_graded_hermitian, n) <= 4 * n * n * 8
+
+    def test_oracle_peak(self):
+        # the copy ?sytrd overwrites, the reflector block and Z: 3.0 n^2
+        n = 300
+        A, _ = next(gen_perturbation_sequence(ProblemSequence(
+            base=gen_graded_hermitian(n, seed=1), length=1)))
+        assert traced_peak(oracle_eig, A, True) <= 3.5 * n * n * 8
+
+    @pytest.mark.parametrize("kind", ["real", "astype_complex", "complex"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_first_matrix_is_the_base_storage(self, kind, eps):
+        base = graded_base(kind)
+        kept = base.data.copy()
+        base.data.flags.writeable = False  # any stage writing into it raises
+        seq = ProblemSequence(base=base, length=3, eps=eps, seed=9, hermitian=True)
+        got = list(gen_perturbation_sequence(seq))
+        A, b = got[0]
+        assert np.shares_memory(A, base.data)
+        if eps == 0.0:
+            assert all(M is A for M, _ in got)
+        else:
+            assert not any(np.shares_memory(M, base.data) for M, _ in got[1:])
+        arnoldi(as_operator(A), b, 10)
+        oracle_apply(function_catalog("exp"), oracle_eig(A, hermitian=True), b,
+                     hermitian=True)
+        assert np.array_equal(base.data, kept)
 
 
 class TestOracle:
