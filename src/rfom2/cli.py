@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import engines
 from .arnoldi import arnoldi, as_operator
 from .core import ParseError, RFOMError, UnknownFunction, is_hermitian, norm
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
@@ -284,7 +285,13 @@ class _OracleCache:
     """The oracle's eigendecomposition of the current operator in one run:
     a `problems.HermitianEig` on the Hermitian path (the tridiagonal's
     eigenpairs and Q's reflectors, no n x n eigenvector matrix), else
-    `eig`'s (w, V)."""
+    `eig`'s (w, V).
+
+    On a fixed matrix one decomposition serves every problem. On a
+    changing one `run_experiment` clears the cache after each problem, so
+    the finished problem's factors (2 n^2 on the Hermitian path) are freed
+    before the sequence builds the next matrix.
+    """
 
     def __init__(self, hermitian):
         self.hermitian = hermitian
@@ -295,10 +302,13 @@ class _OracleCache:
         if A is not self.A:
             # drop the previous operator and decomposition before the next
             # is computed, so that two never coexist at the memory peak
-            self.A = self.eig = None
+            self.clear()
             self.eig = oracle_eig(A, hermitian=self.hermitian)
             self.A = A
         return self.eig
+
+    def clear(self):
+        self.A = self.eig = None
 
 
 def _setup(cfg, length, eps):
@@ -343,7 +353,9 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
                    n_list, update):
     """Add the rows of problem `index`; return the subspace for the next one.
 
-    The stages: Arnoldi; the oracle; with update and k > 0, the harmonic
+    The stages: Arnoldi, then rec's C = A U made for op if it belongs to
+    another operator (`engines._current`, the one refresh per new matrix);
+    the oracle; with update and k > 0, the harmonic
     Ritz update and, with track_angle on a Hermitian matrix, its angle to
     the oracle's eigenvectors of the new.k eigenvalues smallest in
     magnitude (`HermitianEig.smallest`, which applies Q to those columns
@@ -351,7 +363,9 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
     the rule, every engine on rec, and one ok row per engine that ran, its
     rel_error against the oracle's f(A)b or else the first engine's result.
 
-    A stage that raises one of _FAILURES becomes an error row:
+    Refreshing C before the oracle writes no row and changes no value, so
+    the rows and their order are those of the stages above. A stage that
+    raises one of _FAILURES becomes an error row:
     - the oracle: an `oracle` row; on the Hermitian path its imag_residue
       holds the smallest eigenvalue, which shows how far the spectrum
       crossed the singularity;
@@ -362,6 +376,9 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
     """
     row = dict(problem_index=index, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
     dec = arnoldi(op, b, cfg.j, reorth=True)
+    # before the oracle: the previous matrix, which only rec.op still
+    # holds, is freed before the oracle's transient
+    rec = engines._current(dec, rec)
     eig = reference = None
     if cache is not None:
         try:
@@ -414,8 +431,12 @@ def run_experiment(cfg):
     """Run a sequence of f(A^(i)) b^(i) problems through selected engines.
 
     One operator wraps each matrix, so a fixed matrix keeps the update's
-    C = A U as it stands, and on a new matrix the first engine or update
-    that reads C recomputes it once (engines._current).
+    C = A U as it stands, and on a new matrix C is recomputed once, right
+    after Arnoldi (`_solve_problem`). With eps != 0 every problem has a
+    new matrix, and each problem's matrix, operator and oracle
+    decomposition are freed before the sequence builds the next: the run
+    holds one problem's n x n arrays, beside the base, at a time. With
+    eps = 0 the one decomposition is kept for every problem.
     """
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
@@ -426,6 +447,11 @@ def run_experiment(cfg):
             matrix, op = A, as_operator(A)
         rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
                              rec, [cfg.n_quad], update=True)
+        if seq.eps != 0.0:
+            # a new matrix comes next: free this one's arrays before it is built
+            A = matrix = op = None
+            if cache is not None:
+                cache.clear()
     report.write_csv()
     return report
 

@@ -8,7 +8,8 @@ function, rule), apart from one in-place refresh and one memo. The
 refresh: a subspace whose C was computed for another operator than the
 decomposition's gets C = A U for the decomposition's operator, once, the
 first time any engine or the harmonic Ritz update reads it (`_current`);
-`rfom2 run` relies on this for its one refresh per changed matrix. The
+`rfom2 run` calls `_current` itself, right after Arnoldi, for its one
+refresh per changed matrix. The
 memo: each projected pencil, and its decomposition, is built once per
 decomposition and kept in it (`_projection`), so the engines and the
 update read it in any order and get the bits of a fresh build. It rests

@@ -205,7 +205,11 @@ def gen_perturbation_sequence(seq):
     reproduce the sequence.
     The matrices keep the base matrix's dtype, and a real-valued base
     gets real right-hand sides and perturbations. With eps = 0 every
-    problem gets the same matrix object.
+    problem gets the same matrix object; with eps != 0 every problem
+    gets a new one. E and its symmetrized and scaled temporaries are freed
+    within the step, so across a yield the sequence holds the base and the
+    current matrix only. A base CSR that is not canonical is sorted on a
+    copy: the caller's arrays are never written.
 
     Storage: when the base's CSR form stores every entry, the sequence
     runs on its dense array and yields ndarrays, since CSR indexing buys
@@ -213,14 +217,18 @@ def gen_perturbation_sequence(seq):
     is in row-major order, so both forms draw E from the generator in the
     same order, and the dense matrices equal the CSR ones to the bit.
     The first dense matrix is that row-major data itself, reshaped, not a
-    copy: it shares the base's storage (a graded base's is the
+    copy: it shares a canonical base's storage (a graded base's is the
     generator's array), so nothing may write into it.
     """
     if seq.rhs_policy not in ("random_each", "fixed"):
         raise ValueError(f"unknown rhs policy {seq.rhs_policy!r}")
     rng = np.random.default_rng(seq.seed)
-    A = scipy.sparse.csr_matrix(seq.base)
-    A.sum_duplicates()  # canonical: sorted indices, no duplicate entries
+    A = scipy.sparse.csr_matrix(seq.base)  # shares a CSR base's arrays
+    if not A.has_canonical_format:
+        # canonical: sorted indices, no duplicate entries, made on a copy,
+        # since sorting rewrites the arrays in place
+        A = A.copy()
+        A.sum_duplicates()
     n = A.shape[0]
     base_fro = norm(A)
     is_real = np.isrealobj(A.data) or not A.data.imag.any()
@@ -236,20 +244,22 @@ def gen_perturbation_sequence(seq):
         b = random_values(n)
         return b if is_real else b / np.sqrt(2)
 
+    def perturbation():
+        # E and its temporaries die on return, so none is held across yield
+        if dense:
+            E = random_values(A.shape)
+        else:
+            E = A.copy()
+            E.data = random_values(A.nnz)
+        if seq.hermitian:
+            E = (E + E.conj().T) * 0.5
+        fro = norm(E)
+        return E * (base_fro / fro) if fro > 0 else E
+
     fixed_b = random_rhs()
     for i in range(seq.length):
         if i > 0 and seq.eps != 0.0:
-            if dense:
-                E = random_values(A.shape)
-            else:
-                E = A.copy()
-                E.data = random_values(A.nnz)
-            if seq.hermitian:
-                E = (E + E.conj().T) * 0.5
-            fro = norm(E)
-            if fro > 0:
-                E = E * (base_fro / fro)
-            current = current + seq.eps * E
+            current = current + seq.eps * perturbation()
         b = random_rhs() if seq.rhs_policy == "random_each" else fixed_b
         yield current, b
 

@@ -6,11 +6,14 @@ with one BLAS thread. The thread count is read once, when BLAS loads, so
 such a test runs as its own pytest node in a child interpreter with every
 BLAS thread variable set to 1, unless this interpreter already has them;
 its outcome is the child's.
+
+The `traced_peak` fixture measures a call's peak of traced memory.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -34,3 +37,24 @@ def pytest_pyfunc_call(pyfuncitem):
     if child.returncode != 0:
         pytest.fail(f"failed with one BLAS thread:\n{child.stdout}{child.stderr}", pytrace=False)
     return True
+
+
+def _traced_peak(fun, *args):
+    """The peak of tracemalloc's traced memory during fun(*args), above what
+    was traced when it started, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fun(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

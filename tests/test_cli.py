@@ -448,7 +448,7 @@ class TestRunExperiment:
         # a fixed matrix is one object for the whole sequence: its oracle
         # eigendecomposition is computed once and the update's C = A U is
         # used as it stands; a changing matrix needs both every problem,
-        # and C is refreshed where the engines and the update read it
+        # and C is refreshed once per problem
         calls = {"oracle": 0, "refresh": 0}
         oracle_eig, current = rfom2.cli.oracle_eig, rfom2.engines._current
 
@@ -473,6 +473,34 @@ class TestRunExperiment:
         assert not report.has_failures
         assert [r["k"] for r in report.rows] == [0, 6, 6]
         assert calls == {"oracle": oracle_calls, "refresh": refreshes}
+
+    @pytest.mark.parametrize("eps, bound, oracle_calls", [(0.0, 5.25, 1), (1e-4, 6.25, 5)])
+    def test_one_problem_of_arrays_at_a_time(self, monkeypatch, traced_peak, eps,
+                                             bound, oracle_calls):
+        # the traced peak, in n^2 doubles, is the oracle's transient of
+        # about 3 n^2 beside the matrices alive: at eps = 0 the one matrix,
+        # 4.74 in all; at eps > 0 the base and the current matrix, 5.79.
+        # Holding the previous matrix, its oracle factors and E into the
+        # next problem read 7.79. A fixed matrix is decomposed once, a
+        # changing one once per problem
+        calls = []
+        oracle_eig = rfom2.cli.oracle_eig
+
+        def counting_oracle(A, hermitian=False):
+            calls.append(1)
+            return oracle_eig(A, hermitian)
+
+        monkeypatch.setattr(rfom2.cli, "oracle_eig", counting_oracle)
+        n = 300
+        cfg = ExperimentConfig(problem="graded_hermitian", n=n, function="invsqrt",
+                               quad_kind="stieltjes", n_quad=30, j=40, k=10,
+                               eps=eps, n_problems=5, engines="arnoldi_q,v2",
+                               track_angle=True, seed=11, output="")
+        reports = []
+        peak = traced_peak(lambda: reports.append(run_experiment(cfg)))
+        assert [r["status"] for r in reports[0].rows] == ["ok"] * 10
+        assert peak <= bound * n * n * 8
+        assert len(calls) == oracle_calls
 
     def test_sign_via_invsqrt(self, tmp_path):
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",

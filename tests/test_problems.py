@@ -2,7 +2,6 @@
 
 import cmath
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +183,29 @@ class TestPerturbationSequence:
         rhs = [b for _, b in gen_perturbation_sequence(seq)]
         assert np.array_equal(rhs[0], rhs[1]) and np.array_equal(rhs[1], rhs[2])
 
+    @pytest.mark.parametrize("shape, indices, indptr", [
+        ((2, 2), [1, 0, 0, 1], [0, 2, 4]),           # every entry: runs dense
+        ((3, 3), [2, 0, 1, 2, 1], [0, 2, 3, 5]),     # stays CSR
+    ])
+    def test_non_canonical_base_is_not_written(self, shape, indices, indptr):
+        # the base's column indices are unsorted: the sequence sorts a copy
+        data = np.arange(1.0, len(indices) + 1.0)
+        base = scipy.sparse.csr_matrix(
+            (data, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+            shape=shape)
+        assert not base.has_canonical_format
+        kept = base.indices.copy(), base.data.copy()
+        canonical = base.sorted_indices()
+        got, want = (gen_perturbation_sequence(ProblemSequence(
+            base=b, length=3, eps=1e-2, seed=6)) for b in (base, canonical))
+        for _ in range(2):
+            (A, a), (B, b) = next(got), next(want)
+            A = A.toarray() if scipy.sparse.issparse(A) else A
+            B = B.toarray() if scipy.sparse.issparse(B) else B
+            assert np.array_equal(A, B) and np.array_equal(a, b)
+        assert np.array_equal(base.indices, kept[0])
+        assert np.array_equal(base.data, kept[1])
+
 
 
 def csr_sequence(seq):
@@ -319,22 +341,6 @@ class TestSequenceScale:
             assert np.linalg.norm(S / scale - A) <= 1e-15 * np.linalg.norm(A)
 
 
-def traced_peak(fun, *args):
-    """The peak of tracemalloc's traced memory during fun(*args), above what
-    was traced when it started, in bytes."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fun(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestGradedStorage:
     """One copy of a graded matrix: the generator's CSR is built on its
     dense array, and the sequence runs on that array."""
@@ -349,13 +355,13 @@ class TestGradedStorage:
             got, want = getattr(A, part), getattr(R, part)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_generator_peak(self):
+    def test_generator_peak(self, traced_peak):
         # Q, Q diag(lam) and their product: 3.2 n^2 doubles; converting
         # the array to CSR reads 5.0, and keeping R past the product 4.0
         n = 300
         assert traced_peak(gen_graded_hermitian, n) <= 4 * n * n * 8
 
-    def test_oracle_peak(self):
+    def test_oracle_peak(self, traced_peak):
         # the copy ?sytrd overwrites, the reflector block and Z: 3.0 n^2
         n = 300
         A, _ = next(gen_perturbation_sequence(ProblemSequence(
