@@ -435,19 +435,23 @@ def run_experiment(cfg):
     after Arnoldi (`_solve_problem`). With eps != 0 every problem has a
     new matrix, and each problem's matrix, operator and oracle
     decomposition are freed before the sequence builds the next: the run
-    holds one problem's n x n arrays, beside the base, at a time. With
-    eps = 0 the one decomposition is kept for every problem.
+    holds one problem's n x n arrays at a time. Only the sequence holds
+    the base, and on the dense path it keeps only the base's values, as
+    problem 1's matrix. With eps = 0 the one decomposition is kept for
+    every problem.
     """
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
     rec = RecycleSubspace.empty(seq.base.shape[0])
+    problems = gen_perturbation_sequence(seq)
+    del seq  # the generator alone holds the base
     matrix = op = None
-    for i, (A, b) in enumerate(gen_perturbation_sequence(seq), start=1):
+    for i, (A, b) in enumerate(problems, start=1):
         if A is not matrix:
             matrix, op = A, as_operator(A)
         rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
                              rec, [cfg.n_quad], update=True)
-        if seq.eps != 0.0:
+        if cfg.eps != 0.0:
             # a new matrix comes next: free this one's arrays before it is built
             A = matrix = op = None
             if cache is not None:

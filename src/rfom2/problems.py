@@ -11,7 +11,6 @@ import scipy.sparse
 
 from .core import (
     FunctionUndefined,
-    IllConditionedEigenbasis,
     NoConvergence,
     ParseError,
     SingularMatrix,
@@ -22,7 +21,7 @@ from .core import (
     lu_solve,
     norm,
 )
-from .engines import FunctionSpec, _eigen_apply
+from .engines import FunctionSpec, _check_eigenbasis, _eigen_apply
 
 # rfom2 run computes no oracle above ORACLE_MAX_N, and oracle_eig takes
 # no non-Hermitian matrix above ORACLE_GENERAL_MAX_N
@@ -207,9 +206,12 @@ def gen_perturbation_sequence(seq):
     gets real right-hand sides and perturbations. With eps = 0 every
     problem gets the same matrix object; with eps != 0 every problem
     gets a new one. E and its symmetrized and scaled temporaries are freed
-    within the step, so across a yield the sequence holds the base and the
-    current matrix only. A base CSR that is not canonical is sorted on a
-    copy: the caller's arrays are never written.
+    within the step, so across a yield the sequence holds the current
+    matrix and, on the sparse path below, the base's pattern. The dense
+    path keeps the base's values, as the first matrix, and nothing else of
+    it: once the caller lets go of seq, drawing problem 1 frees the base's
+    CSR and its column indices. A base CSR that is not canonical is sorted
+    on a copy: the caller's arrays are never written.
 
     Storage: when the base's CSR form stores every entry, the sequence
     runs on its dense array and yields ndarrays, since CSR indexing buys
@@ -223,17 +225,24 @@ def gen_perturbation_sequence(seq):
     if seq.rhs_policy not in ("random_each", "fixed"):
         raise ValueError(f"unknown rhs policy {seq.rhs_policy!r}")
     rng = np.random.default_rng(seq.seed)
+    length, eps, rhs_policy, hermitian = seq.length, seq.eps, seq.rhs_policy, seq.hermitian
     A = scipy.sparse.csr_matrix(seq.base)  # shares a CSR base's arrays
+    del seq  # the base is held through A alone, and let go below
     if not A.has_canonical_format:
         # canonical: sorted indices, no duplicate entries, made on a copy,
         # since sorting rewrites the arrays in place
         A = A.copy()
         A.sum_duplicates()
-    n = A.shape[0]
+    shape, nnz = A.shape, A.nnz
+    n = shape[0]
     base_fro = norm(A)
     is_real = np.isrealobj(A.data) or not A.data.imag.any()
-    dense = A.nnz == A.shape[0] * A.shape[1]
-    current = A.data.reshape(A.shape) if dense else A
+    dense = nnz == shape[0] * shape[1]
+    # the dense path keeps the row-major values only; the sparse path keeps
+    # the pattern, which every perturbation shares
+    current = A.data.reshape(shape) if dense else A
+    pattern = None if dense else (A.indices, A.indptr)
+    del A
 
     def random_values(shape):
         if is_real:
@@ -247,20 +256,19 @@ def gen_perturbation_sequence(seq):
     def perturbation():
         # E and its temporaries die on return, so none is held across yield
         if dense:
-            E = random_values(A.shape)
+            E = random_values(shape)
         else:
-            E = A.copy()
-            E.data = random_values(A.nnz)
-        if seq.hermitian:
+            E = scipy.sparse.csr_matrix((random_values(nnz), *pattern), shape=shape)
+        if hermitian:
             E = (E + E.conj().T) * 0.5
         fro = norm(E)
         return E * (base_fro / fro) if fro > 0 else E
 
     fixed_b = random_rhs()
-    for i in range(seq.length):
-        if i > 0 and seq.eps != 0.0:
-            current = current + seq.eps * perturbation()
-        b = random_rhs() if seq.rhs_policy == "random_each" else fixed_b
+    for i in range(length):
+        if i > 0 and eps != 0.0:
+            current = current + eps * perturbation()
+        b = random_rhs() if rhs_policy == "random_each" else fixed_b
         yield current, b
 
 
@@ -344,7 +352,10 @@ def oracle_eig(A, hermitian=False):
 
     The Hermitian path takes A, Hermitian to 1e-10 relative (else
     ValueError), to a `HermitianEig`; the general path returns (w, V)
-    from `eig_dense`, guarded by a size cap and a cut on cond(V).
+    from `eig_dense`, guarded by a size cap and by a cut at cond_2(V) >= 1e8
+    (`engines._check_eigenbasis`): a QR bound on cond_2(V) below 1e8 passes
+    V, and otherwise the SVD's cond_2(V) decides and names its value in
+    IllConditionedEigenbasis.
     """
     A = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
     if hermitian:
@@ -352,9 +363,7 @@ def oracle_eig(A, hermitian=False):
     if A.shape[0] > ORACLE_GENERAL_MAX_N:
         raise ValueError(f"general oracle capped at n = {ORACLE_GENERAL_MAX_N}")
     w, V = eig_dense(A)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond >= 1e8:
-        raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
+    _check_eigenbasis(V, 1e8)
     return w, V
 
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -479,10 +480,11 @@ class TestRunExperiment:
                                              bound, oracle_calls):
         # the traced peak, in n^2 doubles, is the oracle's transient of
         # about 3 n^2 beside the matrices alive: at eps = 0 the one matrix,
-        # 4.74 in all; at eps > 0 the base and the current matrix, 5.79.
-        # Holding the previous matrix, its oracle factors and E into the
-        # next problem read 7.79. A fixed matrix is decomposed once, a
-        # changing one once per problem
+        # 4.24 in all; at eps > 0 the current matrix, 4.28. Holding the
+        # base CSR all run read 4.74 and 5.79, and holding the previous
+        # matrix, its oracle factors and E into the next problem as well
+        # read 7.79. A fixed matrix is decomposed once, a changing one once
+        # per problem
         calls = []
         oracle_eig = rfom2.cli.oracle_eig
 
@@ -501,6 +503,33 @@ class TestRunExperiment:
         assert [r["status"] for r in reports[0].rows] == ["ok"] * 10
         assert peak <= bound * n * n * 8
         assert len(calls) == oracle_calls
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_base_is_freed_after_problem_one(self, monkeypatch, eps):
+        # a graded base runs dense, so once problem 1 is drawn nothing in the
+        # run holds the base CSR or its n^2 column indices
+        refs, alive = [], []
+        sequence = rfom2.cli.gen_perturbation_sequence
+
+        def watched(seq):
+            indices = seq.base.indices
+            owner = indices if indices.base is None else indices.base
+            # the base and the array that owns its index memory
+            refs.extend((weakref.ref(seq.base), weakref.ref(owner)))
+            del indices, owner
+            problems = sequence(seq)
+            del seq
+            for i, problem in enumerate(problems, start=1):
+                alive.append((i, [ref() is not None for ref in refs]))
+                yield problem
+
+        monkeypatch.setattr(rfom2.cli, "gen_perturbation_sequence", watched)
+        cfg = ExperimentConfig(problem="graded_hermitian", n=100, function="invsqrt",
+                               quad_kind="stieltjes", n_quad=30, j=20, k=4, eps=eps,
+                               n_problems=3, engines="v2", seed=11, output="")
+        report = run_experiment(cfg)
+        assert [r["status"] for r in report.rows] == ["ok"] * 3
+        assert alive == [(i, [False, False]) for i in (1, 2, 3)]
 
     def test_sign_via_invsqrt(self, tmp_path):
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",

@@ -1266,3 +1266,89 @@ class TestEigenbasisCut:
         A, b, dec = self.nearly_defective()
         x = arnoldi_direct(dec, function_catalog("inverse"))
         assert relerr(x, np.linalg.solve(A, b)) <= 1e-14
+
+
+class TestEigenbasisCheck:
+    """`_check_eigenbasis(P, limit)` passes P on the QR bound
+    ||P||_F ||R^{-1}||_F below limit, and otherwise decides on cond_2(P)
+    as np.linalg.cond computes it."""
+
+    @staticmethod
+    def with_condition(n, cond, complex_, seed=0):
+        # U diag(s) W^* with half the singular values 1 and half 1 / cond:
+        # cond_2 is cond, and the bound reads about n cond / 2, so from
+        # n = 8 a P below the limit by half still needs the SVD
+        rng = np.random.default_rng(seed)
+
+        def unitary():
+            M = rng.standard_normal((n, n))
+            return np.linalg.qr(M + 1j * rng.standard_normal((n, n)) if complex_ else M)[0]
+
+        s = np.where(np.arange(n) < n // 2, 1.0, 1.0 / cond)
+        return (unitary() * s) @ unitary().conj().T
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           dependence=st.none() | st.integers(0, 10), scale=st.integers(-30, 30))
+    def test_bound_is_above_the_condition(self, n, complex_, seed, dependence, scale):
+        # with dependence, one column is another plus 10^-dependence times
+        # a random vector: cond_2 reaches about 1e14
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            X = rng.standard_normal(shape)
+            return X + 1j * rng.standard_normal(shape) if complex_ else X
+
+        P = draw(n, n)
+        if dependence is not None and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            P[:, j] = P[:, i] + 10.0 ** -dependence * draw(n)
+        P *= 2.0 ** scale
+        assert engines._eigenbasis_bound(P) >= np.linalg.cond(P) * (1 - 1e-10)
+
+    @pytest.mark.parametrize("limit", [1e8, 1e10])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+    def test_fallback_decides_as_the_svd(self, monkeypatch, limit, complex_, factor):
+        P = self.with_condition(8, factor * limit, complex_)
+        cond = np.linalg.cond(P)
+        assert (cond < limit) == (factor < 1)
+        assert engines._eigenbasis_bound(P) >= limit
+        calls = []
+        svd_cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda M: calls.append(M) or svd_cond(M))
+        if factor < 1:
+            engines._check_eigenbasis(P, limit)
+        else:
+            with pytest.raises(IllConditionedEigenbasis) as info:
+                engines._check_eigenbasis(P, limit)
+            assert str(info.value) == f"eigenvector condition {cond:.2e}"
+        assert len(calls) == 1 and calls[0] is P
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_a_bound_below_the_limit_makes_no_svd(self, monkeypatch, complex_):
+        P = self.with_condition(8, 1e3, complex_)
+        monkeypatch.setattr(np.linalg, "cond", lambda M: pytest.fail("cond called"))
+        engines._check_eigenbasis(P, 1e8)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, "zero column"])
+    def test_singular_or_infinite_p_raises(self, complex_, entry):
+        # an infinite entry gives a NaN bound and cond_2 = inf; a zero
+        # column gives an exactly singular R, which ?trtri reports
+        P = self.with_condition(6, 10.0, complex_)
+        if entry == "zero column":
+            P[:, 2] = 0.0
+        else:
+            P[1, 3] = entry
+        assert not engines._eigenbasis_bound(P) < 1e10
+        with pytest.raises(IllConditionedEigenbasis):
+            engines._check_eigenbasis(P, 1e10)
+
+    def test_nan_p_is_left_to_the_svd(self):
+        # np.linalg.cond's SVD does not converge on a NaN entry: the check
+        # raises its LinAlgError, as the cut did before the bound
+        P = self.with_condition(6, 10.0, False)
+        P[1, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            engines._check_eigenbasis(P, 1e10)

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +369,21 @@ class TestGradedStorage:
             base=gen_graded_hermitian(n, seed=1), length=1)))
         assert traced_peak(oracle_eig, A, True) <= 3.5 * n * n * 8
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_base_is_freed_after_problem_one(self, eps):
+        # the dense path keeps the base's values as problem 1's matrix and
+        # nothing else of it: once the caller has let go, drawing problem 1
+        # frees the CSR and its n^2 column indices
+        base = gen_graded_hermitian(60, seed=2)
+        indices = base.indices if base.indices.base is None else base.indices.base
+        refs = weakref.ref(base), weakref.ref(indices)  # the indices' owner
+        del indices
+        problems = gen_perturbation_sequence(ProblemSequence(base=base, length=3, eps=eps))
+        del base
+        for _ in range(2):
+            next(problems)
+            assert [ref() for ref in refs] == [None, None]
+
     @pytest.mark.parametrize("kind", ["real", "astype_complex", "complex"])
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_first_matrix_is_the_base_storage(self, kind, eps):
@@ -469,6 +485,18 @@ class TestOracle:
         bad[0, -1] += 1e-6j * np.abs(lam).max()
         with pytest.raises(ValueError):
             oracle_eig(bad, hermitian=True)
+
+    def test_well_conditioned_general_oracle_makes_no_svd(self, monkeypatch):
+        # the complex convection-diffusion matrix of the CI run: cond_2(V)
+        # is far below 1e8, so the QR bound settles the cut
+        A = (gen_convection_diffusion_2d(12, 1.0)
+             + 1j * scipy.sparse.diags(np.linspace(0.0, 1.0, 144))).toarray()
+        w, V = np.linalg.eig(A)
+        assert np.linalg.cond(V) < 1e6
+        for module, name in [(np.linalg, "cond"), (np.linalg, "svd"), (scipy.linalg, "svd")]:
+            monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("an SVD ran"))
+        got = oracle_eig(A)
+        assert np.array_equal(got[0], w) and np.array_equal(got[1], V)
 
     def test_general_path(self):
         rng = np.random.default_rng(8)
