@@ -179,6 +179,9 @@ def _check_values(cfg):
     if cfg.problem == "graded_hermitian" and cfg.bulk_min > cfg.bulk_max:
         raise ParseError(f"config key 'bulk_max': {cfg.bulk_max} is below "
                          f"bulk_min = {cfg.bulk_min}")
+    if cfg.output and not os.path.isdir(os.path.dirname(cfg.output) or "."):
+        raise ParseError(f"config key 'output': {cfg.output!r} is not in an "
+                         "existing directory")
     if not 0.0 < cfg.contour_margin < np.inf:
         raise ParseError(f"config key 'contour_margin': {cfg.contour_margin} "
                          "is not a positive number")
@@ -436,9 +439,8 @@ def run_experiment(cfg):
     new matrix, and each problem's matrix, operator and oracle
     decomposition are freed before the sequence builds the next: the run
     holds one problem's n x n arrays at a time. Only the sequence holds
-    the base, and on the dense path it keeps only the base's values, as
-    problem 1's matrix. With eps = 0 the one decomposition is kept for
-    every problem.
+    the base, which on the dense path is problem 1's matrix. With eps = 0
+    the one decomposition is kept for every problem.
     """
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
@@ -466,13 +468,15 @@ def sweep_quadrature(cfg, n_list):
     With k > 0 on a Hermitian matrix the augmentation subspace is the
     oracle's eigenvectors of the k eigenvalues smallest in magnitude
     (`HermitianEig.smallest`; the single-problem augmentation setup); the
-    sweep exposes where each engine's error stagnates.
+    sweep exposes where each engine's error stagnates. The node counts are
+    checked before the matrix is built.
     """
-    engine_names, fun, seq, cache = _setup(cfg, 1, 0.0)
+    _check_values(cfg)  # before the node counts, which read quad_kind
     if len(n_list) == 0:
         raise ParseError("--nquad: no node counts")
     for nq in n_list:
         _check_n_quad(cfg.quad_kind, nq, "--nquad")
+    engine_names, fun, seq, cache = _setup(cfg, 1, 0.0)
     A, b = next(gen_perturbation_sequence(seq))
     op = as_operator(A)
     report = RunReport(path=cfg.output)

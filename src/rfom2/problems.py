@@ -157,12 +157,9 @@ def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
 
     Built as Q diag(lam) Q^T with a random orthogonal Q, the Q factor of
     a Gaussian matrix (R is never kept); the small cluster is
-    logarithmically spaced. Returned in CSR form like every other input:
-    a CSR built on the symmetrized array's own buffer, which stores all
-    n^2 entries, an exact zero included, so `gen_perturbation_sequence`
-    runs the matrix dense on that buffer. On a matrix with no zero entry
-    it equals `csr_matrix` of the array entry for entry. The traced peak
-    is about 3 n^2 doubles: Q, Q diag(lam) and their product.
+    logarithmically spaced. Returned as the symmetrized n x n float64
+    array, C-ordered, which `gen_perturbation_sequence` runs dense. The
+    traced peak is about 3 n^2 doubles: Q, Q diag(lam) and their product.
     """
     rng = np.random.default_rng(seed)
     small = np.geomspace(small_range[0], small_range[1], small_count)
@@ -172,12 +169,7 @@ def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
                         overwrite_a=True, check_finite=False)[0]
     A = (Q * lam) @ Q.T
     del Q
-    A = 0.5 * (A + A.T)
-    # the index dtype csr_matrix picks for n^2 stored entries
-    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    return scipy.sparse.csr_matrix(
-        (A.ravel(), np.tile(np.arange(n, dtype=index), n),
-         np.arange(0, n * n + 1, n, dtype=index)), shape=(n, n))
+    return 0.5 * (A + A.T)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +177,7 @@ def gen_graded_hermitian(n, small_count=20, small_range=(1.5, 5.0),
 
 @dataclass
 class ProblemSequence:
-    base: object            # A^(1): a sparse matrix or anything CSR takes
+    base: object            # A^(1): a sparse matrix, or anything np.asarray takes
     length: int
     eps: float = 0.0
     rhs_policy: str = "random_each"
@@ -196,53 +188,44 @@ class ProblemSequence:
 def gen_perturbation_sequence(seq):
     """Yield (matrix, rhs) pairs with on-pattern random perturbations.
 
-    Each step adds eps * E where E lives on the sparsity pattern of the
-    base matrix and is Frobenius-normalized to ||A^(1)||_F, both norms
-    `core.norm`'s, so a base with entries past 1e154 gives finite
-    matrices; with the hermitian flag E is symmetrized first. All
-    randomness comes from one seeded generator so identical parameters
-    reproduce the sequence.
+    Each step adds eps * E where E lives on the base matrix's pattern,
+    every entry of a dense base, and is Frobenius-normalized to
+    ||A^(1)||_F, both norms `core.norm`'s, so a base with entries past
+    1e154 gives finite matrices; with the hermitian flag E is symmetrized
+    first. All randomness comes from one seeded generator so identical
+    parameters reproduce the sequence.
     The matrices keep the base matrix's dtype, and a real-valued base
     gets real right-hand sides and perturbations. With eps = 0 every
     problem gets the same matrix object; with eps != 0 every problem
     gets a new one. E and its symmetrized and scaled temporaries are freed
     within the step, so across a yield the sequence holds the current
-    matrix and, on the sparse path below, the base's pattern. The dense
-    path keeps the base's values, as the first matrix, and nothing else of
-    it: once the caller lets go of seq, drawing problem 1 frees the base's
-    CSR and its column indices. A base CSR that is not canonical is sorted
-    on a copy: the caller's arrays are never written.
+    matrix and, for a sparse base, its pattern: once the caller lets go of
+    seq and of the base, drawing problem 2 frees the base.
 
-    Storage: when the base's CSR form stores every entry, the sequence
-    runs on its dense array and yields ndarrays, since CSR indexing buys
-    nothing there; any other base yields CSR matrices. Canonical CSR data
-    is in row-major order, so both forms draw E from the generator in the
-    same order, and the dense matrices equal the CSR ones to the bit.
-    The first dense matrix is that row-major data itself, reshaped, not a
-    copy: it shares a canonical base's storage (a graded base's is the
-    generator's array), so nothing may write into it.
+    Storage: a base runs in the storage it comes in. A sparse base yields
+    CSR matrices on its canonical pattern; one that is not canonical is
+    sorted on a copy, so the caller's arrays are never written. Any other
+    base is taken by `np.asarray` and yields ndarrays, problem 1's being
+    that array itself, which nothing writes into.
     """
     if seq.rhs_policy not in ("random_each", "fixed"):
         raise ValueError(f"unknown rhs policy {seq.rhs_policy!r}")
     rng = np.random.default_rng(seq.seed)
     length, eps, rhs_policy, hermitian = seq.length, seq.eps, seq.rhs_policy, seq.hermitian
-    A = scipy.sparse.csr_matrix(seq.base)  # shares a CSR base's arrays
-    del seq  # the base is held through A alone, and let go below
-    if not A.has_canonical_format:
+    dense = not scipy.sparse.issparse(seq.base)
+    # shares the base's storage: a CSR base's arrays, an ndarray itself
+    current = np.asarray(seq.base) if dense else scipy.sparse.csr_matrix(seq.base)
+    del seq  # the base is held through current alone
+    if not dense and not current.has_canonical_format:
         # canonical: sorted indices, no duplicate entries, made on a copy,
         # since sorting rewrites the arrays in place
-        A = A.copy()
-        A.sum_duplicates()
-    shape, nnz = A.shape, A.nnz
-    n = shape[0]
-    base_fro = norm(A)
-    is_real = np.isrealobj(A.data) or not A.data.imag.any()
-    dense = nnz == shape[0] * shape[1]
-    # the dense path keeps the row-major values only; the sparse path keeps
-    # the pattern, which every perturbation shares
-    current = A.data.reshape(shape) if dense else A
-    pattern = None if dense else (A.indices, A.indptr)
-    del A
+        current = current.copy()
+        current.sum_duplicates()
+    shape, n = current.shape, current.shape[0]
+    base_fro = norm(current)
+    is_real = np.isrealobj(current) or not (current if dense else current.data).imag.any()
+    # the sparse path keeps the pattern, which every perturbation shares
+    pattern = None if dense else (current.indices, current.indptr)
 
     def random_values(shape):
         if is_real:
@@ -258,7 +241,8 @@ def gen_perturbation_sequence(seq):
         if dense:
             E = random_values(shape)
         else:
-            E = scipy.sparse.csr_matrix((random_values(nnz), *pattern), shape=shape)
+            E = scipy.sparse.csr_matrix((random_values(pattern[0].size), *pattern),
+                                        shape=shape)
         if hermitian:
             E = (E + E.conj().T) * 0.5
         fro = norm(E)

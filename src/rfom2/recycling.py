@@ -91,15 +91,20 @@ def harmonic_ritz_update(dec, rec, op, k):
         raise RankDeficient("harmonic Ritz vectors are numerically zero")
     keep = norms > 1e-14 * np.max(norms)
     U, C = U[:, keep] / norms[keep], C[:, keep] / norms[keep]
-    sv = svd_values(U)
-    if sv[-1] < 1e-12 * sv[0]:
-        # unpivoted QR: drop each column nearly in the span of the ones before it
-        Q, R = np.linalg.qr(U)
-        diag = np.abs(np.diag(R))
-        keep = diag > 1e-12 * np.max(diag)
+    keep = _independent(U)
+    if not keep.all():
         norms = np.linalg.norm(U[:, keep], axis=0)
         U, C = U[:, keep] / norms, C[:, keep] / norms
     return RecycleSubspace(U=U, C=C, op=dec.op)
+
+
+def _independent(U):
+    """The columns of U that are not nearly in the span of the ones before
+    them: |R_ii| > 1e-12 max |R_ii| on U's unpivoted QR. The |R_ii| lie
+    between U's extreme singular values, so with cond_2(U) below 1e12
+    every column is kept."""
+    diag = np.abs(np.diag(np.linalg.qr(U, mode="r")))
+    return diag > 1e-12 * np.max(diag)
 
 
 def _selected_pairs(lhs, rhs, k):

@@ -111,7 +111,7 @@ class TestCriterion2:
                 (gen_laplacian_2d(20).toarray(), 30, 8, "inverse", 500, 3500),
                 (gen_convection_diffusion_2d(40, convection=1.0).toarray(),
                  40, 20, "log", 2000, 4000),
-                (gen_graded_hermitian(900, seed=11).toarray(),
+                (gen_graded_hermitian(900, seed=11),
                  50, 20, "inverse", 1000, 2500),
             ]
             for A, j, k, fname, nq, nq_stag in cases:
@@ -129,7 +129,7 @@ class TestCriterion2:
             # the Stieltjes rule: matched nodes and stagnation coincide
             # (30 Gauss points already put the rule error below the
             # j=50 subspace error on this spectrum)
-            A = gen_graded_hermitian(900, seed=11).toarray()
+            A = gen_graded_hermitian(900, seed=11)
             dec, rec = harmonic_prep(A, 50, 20, seed=5)
             fun = function_catalog("invsqrt")
             rule = stieltjes_invsqrt(30)

@@ -192,7 +192,7 @@ class TestCgs2AgainstNumpyLoop:
         real = name.startswith("real")
         b = rng.standard_normal(n) if real else rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if name.endswith("hermitian dense"):
-            G = gen_graded_hermitian(n, seed=int(rng.integers(1000))).toarray()
+            G = gen_graded_hermitian(n, seed=int(rng.integers(1000)))
             return (G if real else complex_hermitian(G, rng)), b
         if name.endswith(" dense"):
             M = rng.standard_normal((n, n))

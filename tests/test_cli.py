@@ -506,30 +506,40 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("eps", [0.0, 1e-4])
     def test_base_is_freed_after_problem_one(self, monkeypatch, eps):
-        # a graded base runs dense, so once problem 1 is drawn nothing in the
-        # run holds the base CSR or its n^2 column indices
-        refs, alive = [], []
-        sequence = rfom2.cli.gen_perturbation_sequence
+        # a graded base runs dense and is problem 1's matrix. With eps != 0
+        # the run lets go of it once problem 2's C = A U is made, before
+        # problem 2's oracle; with eps = 0 it is every problem's matrix and
+        # is freed when the run returns
+        ref, alive = None, []
+        sequence, oracle = rfom2.cli.gen_perturbation_sequence, rfom2.cli.oracle_eig
 
         def watched(seq):
-            indices = seq.base.indices
-            owner = indices if indices.base is None else indices.base
-            # the base and the array that owns its index memory
-            refs.extend((weakref.ref(seq.base), weakref.ref(owner)))
-            del indices, owner
+            nonlocal ref
+            ref = weakref.ref(seq.base)
             problems = sequence(seq)
             del seq
-            for i, problem in enumerate(problems, start=1):
-                alive.append((i, [ref() is not None for ref in refs]))
+            for problem in problems:
+                alive.append(("draw", ref() is not None))
                 yield problem
 
+        def watched_oracle(A, hermitian=False):
+            alive.append(("oracle", ref() is not None))
+            return oracle(A, hermitian)
+
         monkeypatch.setattr(rfom2.cli, "gen_perturbation_sequence", watched)
+        monkeypatch.setattr(rfom2.cli, "oracle_eig", watched_oracle)
         cfg = ExperimentConfig(problem="graded_hermitian", n=100, function="invsqrt",
                                quad_kind="stieltjes", n_quad=30, j=20, k=4, eps=eps,
                                n_problems=3, engines="v2", seed=11, output="")
         report = run_experiment(cfg)
         assert [r["status"] for r in report.rows] == ["ok"] * 3
-        assert alive == [(i, [False, False]) for i in (1, 2, 3)]
+        if eps == 0.0:
+            assert alive == [("draw", True), ("oracle", True), ("draw", True),
+                             ("draw", True)]
+        else:
+            assert alive == [("draw", True), ("oracle", True), ("draw", True),
+                             ("oracle", False), ("draw", False), ("oracle", False)]
+        assert ref() is None
 
     def test_sign_via_invsqrt(self, tmp_path):
         cfg = ExperimentConfig(problem="laplacian2d", m=6, function="sign_via_invsqrt",
@@ -607,6 +617,23 @@ class TestSweep:
         assert [(r["n_quad"], r["engine"], r["status"]) for r in report.rows] == \
             [(nq, e, "error:NoSeparatingContour")
              for nq in (16, 64, 256) for e in ("arnoldi", "arnoldi_q")]
+
+
+    @pytest.mark.parametrize("n_list", [[], [1], [64, 1]])
+    def test_node_counts_are_checked_before_the_matrix(self, monkeypatch, n_list):
+        # a graded contour config: a node count no rule takes is a config
+        # error before the matrix is generated
+        calls = []
+        generate = rfom2.cli.gen_graded_hermitian
+        monkeypatch.setattr(rfom2.cli, "gen_graded_hermitian",
+                            lambda *a, **kw: calls.append(a) or generate(*a, **kw))
+        cfg = ExperimentConfig(problem="graded_hermitian", n=60, function="exp",
+                               j=10, engines="arnoldi_q", output="")
+        with pytest.raises(ParseError, match="--nquad"):
+            sweep_quadrature(cfg, n_list)
+        assert calls == []
+        sweep_quadrature(cfg, [64])
+        assert len(calls) == 1
 
 
 class TestMain:
@@ -694,6 +721,25 @@ class TestMain:
         assert len(err) == 1 and str(mfile) in err[0]
         if case == "nan":
             assert f"{mfile}:3:" in err[0]
+
+    def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # one stderr line naming the key, before any problem is computed;
+        # an empty output writes no CSV and is valid
+        monkeypatch.chdir(tmp_path)
+        cfgfile = write_config(tmp_path, """
+            problem = laplacian2d
+            m = 6
+            j = 10
+            engines = arnoldi
+        """)
+        for output in (tmp_path / "no" / "such" / "r.csv", "no/r.csv"):
+            assert main(["run", cfgfile, "--set", f"output={output}"]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "'output'" in err[0]
+        assert not (tmp_path / "no").exists()
+        assert main(["run", cfgfile, "--set", "output="]) == 0
+        assert main(["run", cfgfile, "--set", "output=r.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "r.csv"]
 
     @pytest.mark.parametrize("case", ["missing", "directory", "binary"])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, case):

@@ -440,7 +440,7 @@ class TestRecycledEngines:
 
     def setup_method(self):
         self.A = gen_graded_hermitian(80, small_count=8, small_range=(1.5, 1.7),
-                                      bulk_range=(20.0, 100.0), seed=7).toarray()
+                                      bulk_range=(20.0, 100.0), seed=7)
         rng = np.random.default_rng(8)
         self.b = rng.standard_normal(80)
         self.lam, self.Q = np.linalg.eigh(self.A)
@@ -645,7 +645,7 @@ class TestDeflation:
         # on all 800 recycled problems); the kept spans themselves may differ
         # in directions nearly inside K_j, so the results are compared
         n, j, k = 120, 30, 8
-        A = gen_graded_hermitian(n, small_count=10, seed=0).toarray()
+        A = gen_graded_hermitian(n, small_count=10, seed=0)
         op, rng = as_operator(A), np.random.default_rng(0)
         rec, trimmed = RecycleSubspace.empty(n), 0
         for _ in range(5):
@@ -713,7 +713,7 @@ class TestAugmentedPencil:
         # its off-diagonal blocks must be adjoints to the bit. The U^*U block is
         # one BLAS product, which BLAS does not promise to be Hermitian
         rng = np.random.default_rng(17)
-        A = gen_graded_hermitian(900, seed=3).toarray()
+        A = gen_graded_hermitian(900, seed=3)
         if cplx:
             d = np.exp(2j * np.pi * rng.uniform(size=900))
             A = (d[:, None] * A) * d.conj()[None, :]

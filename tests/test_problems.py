@@ -29,6 +29,7 @@ from rfom2 import (
     save_matrix_market,
     subspace_angle,
 )
+from rfom2.core import norm
 from rfom2.problems import oracle_apply, oracle_eig
 
 
@@ -136,13 +137,13 @@ class TestGenerators:
 
     def test_graded_hermitian(self):
         A = gen_graded_hermitian(60, small_count=6, small_range=(0.5, 2.0),
-                                 bulk_range=(10.0, 30.0), seed=5).toarray()
+                                 bulk_range=(10.0, 30.0), seed=5)
         assert np.linalg.norm(A - A.T) <= 1e-12 * np.linalg.norm(A)
         w = np.sort(np.linalg.eigvalsh(A))
         assert np.allclose(np.sort(w[:6]), np.geomspace(0.5, 2.0, 6), atol=1e-10)
         assert np.all(w[6:] >= 10.0 - 1e-10) and np.all(w[6:] <= 30.0 + 1e-10)
         B = gen_graded_hermitian(60, small_count=6, small_range=(0.5, 2.0),
-                                 bulk_range=(10.0, 30.0), seed=5).toarray()
+                                 bulk_range=(10.0, 30.0), seed=5)
         assert np.array_equal(A, B)
 
 
@@ -185,8 +186,8 @@ class TestPerturbationSequence:
         assert np.array_equal(rhs[0], rhs[1]) and np.array_equal(rhs[1], rhs[2])
 
     @pytest.mark.parametrize("shape, indices, indptr", [
-        ((2, 2), [1, 0, 0, 1], [0, 2, 4]),           # every entry: runs dense
-        ((3, 3), [2, 0, 1, 2, 1], [0, 2, 3, 5]),     # stays CSR
+        ((2, 2), [1, 0, 0, 1], [0, 2, 4]),           # every entry
+        ((3, 3), [2, 0, 1, 2, 1], [0, 2, 3, 5]),
     ])
     def test_non_canonical_base_is_not_written(self, shape, indices, indptr):
         # the base's column indices are unsorted: the sequence sorts a copy
@@ -201,9 +202,7 @@ class TestPerturbationSequence:
             base=b, length=3, eps=1e-2, seed=6)) for b in (base, canonical))
         for _ in range(2):
             (A, a), (B, b) = next(got), next(want)
-            A = A.toarray() if scipy.sparse.issparse(A) else A
-            B = B.toarray() if scipy.sparse.issparse(B) else B
-            assert np.array_equal(A, B) and np.array_equal(a, b)
+            assert np.array_equal(A.toarray(), B.toarray()) and np.array_equal(a, b)
         assert np.array_equal(base.indices, kept[0])
         assert np.array_equal(base.data, kept[1])
 
@@ -247,8 +246,9 @@ def csr_sequence(seq):
 
 
 def graded_base(kind):
-    """A fully stored graded base: real, real-valued complex128, or complex
-    Hermitian (imaginary part +1 above the diagonal, -1 below)."""
+    """A graded base array: real, real-valued complex128, or complex
+    Hermitian (imaginary part +1 above the diagonal, -1 below). No entry is
+    zero, so its CSR form stores all 60^2."""
     A = gen_graded_hermitian(60, small_count=6, small_range=(0.5, 2.0),
                              bulk_range=(10.0, 30.0), seed=5)
     if kind == "real":
@@ -256,20 +256,23 @@ def graded_base(kind):
     A = A.astype(np.complex128)
     if kind == "complex":
         ones = np.ones((60, 60))
-        A = A + 1j * scipy.sparse.csr_matrix(np.triu(ones, 1) - np.tril(ones, -1))
-    return A.tocsr()
+        A = A + 1j * (np.triu(ones, 1) - np.tril(ones, -1))
+    return A
 
 
 class TestStorageRule:
-    """A base whose CSR form stores every entry runs dense."""
+    """A base runs in the storage it comes in: an ndarray dense, a sparse
+    matrix as CSR, even one that stores every entry."""
 
     @pytest.mark.parametrize("kind", ["real", "astype_complex", "complex"])
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("hermitian", [True, False])
     @pytest.mark.parametrize("rhs_policy", ["random_each", "fixed"])
     def test_fully_stored_base_runs_dense(self, kind, eps, hermitian, rhs_policy):
+        # an ndarray base, whose CSR form stores every entry: its dense run
+        # draws E in the CSR loop's row-major order and matches it to the bit
         base = graded_base(kind)
-        assert base.nnz == 60 * 60
+        assert type(base) is np.ndarray and np.all(base != 0)
         seq = ProblemSequence(base=base, length=4, eps=eps, rhs_policy=rhs_policy,
                               seed=9, hermitian=hermitian)
         got = list(gen_perturbation_sequence(seq))
@@ -279,19 +282,25 @@ class TestStorageRule:
             assert type(A) is np.ndarray and A.dtype == R.dtype
             assert np.array_equal(A, R.toarray())
             assert b.dtype == rb.dtype and np.array_equal(b, rb)
+        assert got[0][0] is base
         if eps == 0.0:
-            assert all(A is got[0][0] for A, _ in got)
+            assert all(A is base for A, _ in got)
         else:
             assert not np.array_equal(got[0][0], got[1][0])
 
-    @pytest.mark.parametrize("kind", ["graded_less_one_entry", "stencil"])
+    @pytest.mark.parametrize("kind", ["fully_stored", "fully_stored_complex",
+                                      "graded_less_one_entry", "stencil"])
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_other_bases_stay_csr(self, kind, eps, hermitian):
         if kind == "stencil":
             base = gen_convection_diffusion_2d(6, 1.0)
+        elif kind.startswith("fully_stored"):
+            base = scipy.sparse.csr_matrix(
+                graded_base("complex" if kind.endswith("complex") else "real"))
+            assert base.nnz == 60 * 60
         else:
-            base = graded_base("real").tolil()
+            base = scipy.sparse.lil_matrix(graded_base("real"))
             base[3, 7] = 0.0
             base = base.tocsr()
             base.eliminate_zeros()
@@ -304,6 +313,8 @@ class TestStorageRule:
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(A, part), getattr(R, part))
             assert np.array_equal(b, rb)
+        # canonical already: the base's arrays are shared, not copied
+        assert np.shares_memory(got[0][0].data, base.data)
         if eps == 0.0:
             assert all(A is got[0][0] for A, _ in got)
 
@@ -343,18 +354,29 @@ class TestSequenceScale:
 
 
 class TestGradedStorage:
-    """One copy of a graded matrix: the generator's CSR is built on its
-    dense array, and the sequence runs on that array."""
+    """One copy of a graded matrix: the generator returns its array, and
+    the sequence runs on that array."""
 
     @pytest.mark.parametrize("n", [2, 60, 300])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_csr_is_csr_matrix_of_the_array(self, n, seed):
+    def test_returns_its_c_ordered_array(self, n, seed):
         A = gen_graded_hermitian(n, small_count=1 if n == 2 else 20, seed=seed)
-        R = scipy.sparse.csr_matrix(A.toarray())
-        assert A.has_canonical_format and A.nnz == n * n
-        for part in ("data", "indices", "indptr"):
-            got, want = getattr(A, part), getattr(R, part)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert type(A) is np.ndarray and A.shape == (n, n) and A.dtype == np.float64
+        assert A.flags.c_contiguous and A.flags.owndata
+        assert np.array_equal(A, A.T)
+
+    def test_array_is_the_csr_generators_array(self):
+        # recorded from the generator that returned an n^2-entry CSR on this
+        # array's buffer (`.toarray()` of its result, x86-64 OpenBLAS, 1 and 2
+        # threads alike): the array is the same to the bit
+        A = gen_graded_hermitian(60, seed=5)
+        assert norm(A) == float.fromhex("0x1.94a95523d721dp+8")
+        for (i, j), value in [((0, 0), "0x1.1e323aa8a8a1ap+5"),
+                              ((0, 59), "-0x1.46c0896787a12p+1"),
+                              ((17, 3), "0x1.ded951c042084p-3"),
+                              ((30, 31), "-0x1.92a6ab028243ap+2"),
+                              ((59, 59), "0x1.44c095d09ac96p+5")]:
+            assert A[i, j] == A[j, i] == float.fromhex(value)
 
     def test_generator_peak(self, traced_peak):
         # Q, Q diag(lam) and their product: 3.2 n^2 doubles; converting
@@ -371,37 +393,40 @@ class TestGradedStorage:
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_base_is_freed_after_problem_one(self, eps):
-        # the dense path keeps the base's values as problem 1's matrix and
-        # nothing else of it: once the caller has let go, drawing problem 1
-        # frees the CSR and its n^2 column indices
+        # the base is problem 1's matrix and the sequence keeps nothing else
+        # of it: with eps != 0, once the caller has let go, drawing problem 2
+        # frees it; with eps = 0 it is every problem's matrix, freed with
+        # the sequence
         base = gen_graded_hermitian(60, seed=2)
-        indices = base.indices if base.indices.base is None else base.indices.base
-        refs = weakref.ref(base), weakref.ref(indices)  # the indices' owner
-        del indices
+        ref = weakref.ref(base)
         problems = gen_perturbation_sequence(ProblemSequence(base=base, length=3, eps=eps))
         del base
-        for _ in range(2):
-            next(problems)
-            assert [ref() for ref in refs] == [None, None]
+        A, _ = next(problems)
+        assert A is ref()
+        del A
+        A, _ = next(problems)
+        assert (ref() is None) == (eps != 0.0)
+        del A, problems
+        assert ref() is None
 
     @pytest.mark.parametrize("kind", ["real", "astype_complex", "complex"])
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_first_matrix_is_the_base_storage(self, kind, eps):
         base = graded_base(kind)
-        kept = base.data.copy()
-        base.data.flags.writeable = False  # any stage writing into it raises
+        kept = base.copy()
+        base.flags.writeable = False  # any stage writing into it raises
         seq = ProblemSequence(base=base, length=3, eps=eps, seed=9, hermitian=True)
         got = list(gen_perturbation_sequence(seq))
         A, b = got[0]
-        assert np.shares_memory(A, base.data)
+        assert A is base
         if eps == 0.0:
             assert all(M is A for M, _ in got)
         else:
-            assert not any(np.shares_memory(M, base.data) for M, _ in got[1:])
+            assert not any(np.shares_memory(M, base) for M, _ in got[1:])
         arnoldi(as_operator(A), b, 10)
         oracle_apply(function_catalog("exp"), oracle_eig(A, hermitian=True), b,
                      hermitian=True)
-        assert np.array_equal(base.data, kept)
+        assert np.array_equal(base, kept)
 
 
 class TestOracle:

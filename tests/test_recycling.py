@@ -25,7 +25,8 @@ from rfom2.core import RankDeficient, is_hermitian
 from rfom2.engines import _decompose, rfom_v2
 from rfom2.problems import function_catalog, gen_convection_diffusion_2d, gen_laplacian_2d
 from rfom2.quadrature import guarded_contour, trapezoid_contour
-from rfom2.recycling import TIE_RTOL, _selected_pairs
+from rfom2 import recycling
+from rfom2.recycling import TIE_RTOL, _independent, _selected_pairs
 
 
 def reference_pairs(lhs, rhs, k, reduced=False, untie=True):
@@ -68,14 +69,22 @@ def eig_update(dec, rec, k, reduced=False, untie=True):
     norms = np.linalg.norm(U, axis=0)
     keep = norms > 1e-14 * np.max(norms)
     U, C = U[:, keep] / norms[keep], C[:, keep] / norms[keep]
-    sv = svd_values(U)
-    if sv[-1] < 1e-12 * sv[0]:
-        Q, R = np.linalg.qr(U)
-        diag = np.abs(np.diag(R))
-        keep = diag > 1e-12 * np.max(diag)
+    keep = svd_then_qr_keep(U)
+    if not keep.all():
         norms = np.linalg.norm(U[:, keep], axis=0)
         U, C = U[:, keep] / norms, C[:, keep] / norms
     return RecycleSubspace(U=U, C=C)
+
+
+def svd_then_qr_keep(U):
+    """The columns of U to keep, decided as the update once did: every one
+    when cond_2(U) <= 1e12 by an SVD, else those with |R_ii| > 1e-12
+    max |R_ii| on the unpivoted QR."""
+    sv = svd_values(U)
+    if sv[-1] >= 1e-12 * sv[0]:
+        return np.ones(U.shape[1], dtype=bool)
+    diag = np.abs(np.diag(np.linalg.qr(U)[1]))
+    return diag > 1e-12 * np.max(diag)
 
 
 class TestSubspaceAngle:
@@ -264,6 +273,50 @@ class TestHarmonicRitz:
         dec = arnoldi(A, np.eye(36)[:, 0], 10)
         with pytest.raises(RankDeficient):
             harmonic_ritz_update(dec, RecycleSubspace.empty(36), A, 2)
+
+
+class TestDependentColumns:
+    """The update drops each selected vector nearly in the span of the ones
+    before it, by one unpivoted QR."""
+
+    def test_a_repeated_vector_is_dropped(self, monkeypatch):
+        # a selection that names one pair twice gives U two equal columns
+        A = np.diag(np.arange(1.0, 101.0))
+        op = as_operator(A)
+        dec = arnoldi(op, np.ones(100), 20)
+        selected_pairs = recycling._selected_pairs
+
+        def repeated(lhs, rhs, k):
+            vectors, selected = selected_pairs(lhs, rhs, k)
+            return vectors, np.append(selected, selected[0])
+
+        monkeypatch.setattr(recycling, "_selected_pairs", repeated)
+        out = harmonic_ritz_update(dec, RecycleSubspace.empty(100), op, 5)
+        monkeypatch.undo()
+        want = harmonic_ritz_update(dec, RecycleSubspace.empty(100), op, 5)
+        # the repeat is dropped; the kept columns, renormalized, move by rounding
+        assert out.k == want.k == 5
+        assert np.linalg.norm(out.U - want.U) <= 1e-14 * np.linalg.norm(want.U)
+        assert np.linalg.norm(out.C - want.C) <= 1e-14 * np.linalg.norm(want.C)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cplx=st.booleans(), m=st.integers(5, 40), k=st.integers(1, 8),
+           d=st.floats(0.0, 17.0), dependent=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_qr_keeps_what_svd_then_qr_kept(self, cplx, m, k, d, dependent, seed):
+        # full rank, or one column another combination plus 10^-d noise:
+        # min |R_ii| >= sigma_min(U) and max |R_ii| <= sigma_max(U), so where
+        # the SVD kept every column the QR does too
+        rng = np.random.default_rng(seed)
+        k = min(k, m)
+        U = rng.standard_normal((m, k))
+        if cplx:
+            U = U + 1j * rng.standard_normal((m, k))
+        if dependent and k > 1:
+            i = int(rng.integers(1, k))
+            U[:, i] = U[:, :i] @ rng.standard_normal(i) + 10.0 ** -d * rng.standard_normal(m)
+        U /= np.linalg.norm(U, axis=0)
+        assert np.array_equal(_independent(U), svd_then_qr_keep(U))
 
 
 class TestHermitianUpdate:
