@@ -13,11 +13,12 @@ import csv
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import engines
+from . import blas, engines
 from .arnoldi import arnoldi, as_operator
 from .core import ParseError, RFOMError, UnknownFunction, is_hermitian, norm
 from .engines import RecycleSubspace, arnoldi_direct, arnoldi_quad, rfom_v1, \
@@ -294,19 +295,32 @@ class _OracleCache:
     changing one `run_experiment` clears the cache after each problem, so
     the finished problem's factors (2 n^2 on the Hermitian path) are freed
     before the sequence builds the next matrix.
+
+    For `run_experiment`'s look-ahead, `start` submits the decomposition
+    of a matrix that comes later to an executor, and `eig_for` on that
+    matrix returns the executor's result, or raises its exception, where
+    an in-line call would. `eig_for` stays the one way in, started or not.
     """
 
     def __init__(self, hermitian):
         self.hermitian = hermitian
         self.A = None
         self.eig = None
+        self.ahead = None  # (matrix, future) of the started decomposition
+
+    def start(self, worker, A):
+        self.ahead = (A, worker.submit(oracle_eig, A, self.hermitian))
 
     def eig_for(self, A):
         if A is not self.A:
             # drop the previous operator and decomposition before the next
-            # is computed, so that two never coexist at the memory peak
+            # is computed or taken
             self.clear()
-            self.eig = oracle_eig(A, hermitian=self.hermitian)
+            if self.ahead is not None and self.ahead[0] is A:
+                future, self.ahead = self.ahead[1], None
+                self.eig = future.result()
+            else:
+                self.eig = oracle_eig(A, hermitian=self.hermitian)
             self.A = A
         return self.eig
 
@@ -430,38 +444,93 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
     return new
 
 
+def _usable_cores():
+    """How many cores this process may run on (Linux only, as is
+    `blas.serial`, which `_look_ahead` asks first)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _look_ahead(cache, eps):
+    """Whether `run_experiment` decomposes the next problem's matrix on a
+    worker thread while the main thread decomposes the current one.
+
+    Only on the general oracle: numpy's `eig` releases the GIL, while the
+    Hermitian path's f2py `?sytrd` and `dstevd` hold it, and two threads
+    ran them no faster than one. Only on a changing matrix, since a fixed
+    one is decomposed once, and only with every BLAS pool at one thread
+    and a second core for the worker.
+    """
+    return (cache is not None and not cache.hermitian and eps != 0.0
+            and blas.serial() and _usable_cores() > 1)
+
+
+def _in_pairs(problems, cache, worker):
+    """The problems, with a look-ahead one problem deep: before the first
+    of each pair is yielded, the second is drawn and its decomposition
+    started on the worker. A yielded problem is let go of before the next
+    is drawn."""
+    for first in problems:
+        second = next(problems, None)
+        if second is not None:
+            cache.start(worker, second[0])
+        yield first
+        first = None
+        if second is not None:
+            yield second
+        second = None
+
+
+@blas.one_thread_per_caller()
 def run_experiment(cfg):
     """Run a sequence of f(A^(i)) b^(i) problems through selected engines.
 
-    One operator wraps each matrix, so a fixed matrix keeps the update's
-    C = A U as it stands, and on a new matrix C is recomputed once, right
-    after Arnoldi (`_solve_problem`). With eps != 0 every problem has a
-    new matrix, and each problem's matrix, operator and oracle
-    decomposition are freed before the sequence builds the next: the run
-    holds one problem's n x n arrays at a time. Only the sequence holds
-    the base, which on the dense path is problem 1's matrix. With eps = 0
-    the one decomposition is kept for every problem.
+    The run holds every loaded OpenBLAS pool at one thread, and restores
+    the counts when it returns or raises (`blas.one_thread_per_caller`; a
+    count set in the environment wins). One operator wraps each matrix, so
+    a fixed matrix keeps the update's C = A U as it stands, and on a new
+    matrix C is recomputed once, right after Arnoldi (`_solve_problem`).
+    With eps = 0 the one decomposition is kept for every problem. With
+    eps != 0 every problem has a new matrix, and each problem's matrix,
+    operator and oracle decomposition are freed once it is done. Only the
+    sequence holds the base, which on the dense path is problem 1's
+    matrix.
+
+    On the Hermitian oracle the run then holds one problem's n x n arrays
+    at a time. On the general oracle, when `_look_ahead` allows, problems
+    run in pairs (`_in_pairs`): the second's matrix is drawn before the
+    first is solved, and a worker thread decomposes it while the main
+    thread decomposes the first's, so the run holds one more matrix and
+    one more decomposition. No thread the run starts outlives it.
     """
     engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
     rec = RecycleSubspace.empty(seq.base.shape[0])
     problems = gen_perturbation_sequence(seq)
     del seq  # the generator alone holds the base
-    matrix = op = None
-    for i, (A, b) in enumerate(problems, start=1):
-        if A is not matrix:
-            matrix, op = A, as_operator(A)
-        rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
-                             rec, [cfg.n_quad], update=True)
-        if cfg.eps != 0.0:
-            # a new matrix comes next: free this one's arrays before it is built
-            A = matrix = op = None
-            if cache is not None:
-                cache.clear()
+    worker = None
+    if _look_ahead(cache, cfg.eps):
+        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rfom2-oracle")
+        problems = _in_pairs(problems, cache, worker)
+    try:
+        matrix = op = None
+        for i, (A, b) in enumerate(problems, start=1):
+            if A is not matrix:
+                matrix, op = A, as_operator(A)
+            rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
+                                 rec, [cfg.n_quad], update=True)
+            if cfg.eps != 0.0:
+                # a new matrix comes next: free this one's arrays first
+                A = matrix = op = None
+                if cache is not None:
+                    cache.clear()
+    finally:
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
     report.write_csv()
     return report
 
 
+@blas.one_thread_per_caller()
 def sweep_quadrature(cfg, n_list):
     """Fixed first problem, one row per (n_quad, engine).
 
@@ -469,7 +538,8 @@ def sweep_quadrature(cfg, n_list):
     oracle's eigenvectors of the k eigenvalues smallest in magnitude
     (`HermitianEig.smallest`; the single-problem augmentation setup); the
     sweep exposes where each engine's error stagnates. The node counts are
-    checked before the matrix is built.
+    checked before the matrix is built. Like `run_experiment`, the sweep
+    holds every OpenBLAS pool at one thread.
     """
     _check_values(cfg)  # before the node counts, which read quad_kind
     if len(n_list) == 0:

@@ -92,12 +92,14 @@ def _check_eigenbasis(P, limit):
     A bound below limit (`_eigenbasis_bound`) passes P without an SVD.
     Otherwise, a bound at or above limit, a singular R or a bound that is
     not finite, np.linalg.cond(P) decides, and the error carries its value,
-    so every decision is cond_2's own. The oracle's eigenvector matrix (cut
-    at 1e8) and H_j's (`_EigenRoute`, 1e10) are checked here.
+    so every decision is cond_2's own. A P with an entry that is not
+    finite has cond_2 = inf without an SVD, whose LAPACK call does not
+    converge on a NaN. The oracle's eigenvector matrix (cut at 1e8) and
+    H_j's (`_EigenRoute`, 1e10) are checked here.
     """
     if _eigenbasis_bound(P) < limit:
         return
-    cond = np.linalg.cond(P)
+    cond = np.linalg.cond(P) if np.isfinite(P).all() else np.inf
     if not np.isfinite(cond) or cond >= limit:
         raise IllConditionedEigenbasis(f"eigenvector condition {cond:.2e}")
 

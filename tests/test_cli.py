@@ -2,6 +2,12 @@
 
 import csv
 import dataclasses
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 import warnings
 import weakref
 
@@ -11,9 +17,10 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfom2.blas
 import rfom2.cli
 import rfom2.engines
-from rfom2.core import ParseError, RankDeficient
+from rfom2.core import IllConditionedEigenbasis, ParseError, RankDeficient
 from rfom2.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -634,6 +641,252 @@ class TestSweep:
         assert calls == []
         sweep_quadrature(cfg, [64])
         assert len(calls) == 1
+
+
+class TestLookAhead:
+    """On the general oracle with a changing matrix, `run_experiment` runs
+    problems in pairs: problem 2i's matrix is drawn before problem 2i-1 is
+    solved, and one worker thread decomposes it while the main thread
+    decomposes problem 2i-1's (`_in_pairs`)."""
+
+    @staticmethod
+    def config(tmp_path, kind):
+        common = dict(function="log", j=20, k=4, n_quad=100, eps=1e-3, n_problems=5,
+                      engines="arnoldi,arnoldi_q,v2", seed=4, output="")
+        if kind == "real":
+            return ExperimentConfig(problem="convdiff2d", m=10, convection=1.0, **common)
+        path = tmp_path / "complex.mtx"
+        save_matrix_market(path, stencil("complex", 10).tocsr())
+        return ExperimentConfig(problem="matrix_market", matrix_file=str(path), **common)
+
+    @staticmethod
+    def run(monkeypatch, cfg, ahead, fail=()):
+        """The report of cfg with the look-ahead on or off, and per oracle
+        call the problem's index and the thread that ran it; the oracle
+        raises IllConditionedEigenbasis on the problems in fail. On, the
+        look-ahead does not depend on the machine having a second core."""
+        sequence, oracle = rfom2.cli.gen_perturbation_sequence, rfom2.cli.oracle_eig
+        drawn, calls = [], []
+
+        def recording(seq):
+            for A, b in sequence(seq):
+                drawn.append(A)
+                yield A, b
+
+        def recording_oracle(A, hermitian=False):
+            index = next(i for i, M in enumerate(drawn, 1) if M is A)
+            calls.append((index, threading.current_thread()))
+            if index in fail:
+                raise IllConditionedEigenbasis("injected")
+            return oracle(A, hermitian)
+
+        with monkeypatch.context() as m:
+            m.setattr(rfom2.cli, "gen_perturbation_sequence", recording)
+            m.setattr(rfom2.cli, "oracle_eig", recording_oracle)
+            if ahead:
+                m.setattr(rfom2.cli, "_usable_cores", lambda: 2)
+            else:
+                m.setattr(rfom2.cli, "_look_ahead", lambda *args: False)
+            report = run_experiment(cfg)
+        return report, sorted((i, t is threading.main_thread()) for i, t in calls)
+
+    @staticmethod
+    def rows(report):
+        return [[repr(r[c]) for c in CSV_COLUMNS if c != "wall_ms"] for r in report.rows]
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_rows_equal_the_rows_without_look_ahead(self, tmp_path, monkeypatch, kind):
+        # one decomposition per problem; problems 2 and 4 on the worker
+        cfg = self.config(tmp_path, kind)
+        on, on_calls = self.run(monkeypatch, cfg, ahead=True)
+        off, off_calls = self.run(monkeypatch, cfg, ahead=False)
+        assert [r["status"] for r in on.rows] == ["ok"] * 15
+        assert self.rows(on) == self.rows(off)
+        assert on_calls == [(1, True), (2, False), (3, True), (4, False), (5, True)]
+        assert off_calls == [(i, True) for i in range(1, 6)]
+
+    def test_oracle_failures_give_rows_in_place(self, tmp_path, monkeypatch):
+        # problem 2's decomposition fails on the worker, problem 3's in line:
+        # each gives its oracle row where a run without the look-ahead puts
+        # it, and the sequence goes on
+        cfg = self.config(tmp_path, "complex")
+        on, on_calls = self.run(monkeypatch, cfg, ahead=True, fail=(2, 3))
+        off, _ = self.run(monkeypatch, cfg, ahead=False, fail=(2, 3))
+        assert (2, False) in on_calls and (3, True) in on_calls
+        assert self.rows(on) == self.rows(off)
+        assert [(r["problem_index"], r["status"]) for r in on.rows if r["status"] != "ok"] \
+            == [(2, "error:IllConditionedEigenbasis"), (3, "error:IllConditionedEigenbasis")]
+        assert [r["problem_index"] for r in on.select(engine="v2")] == [1, 2, 3, 4, 5]
+
+    def test_no_thread_outlives_the_run(self, tmp_path, monkeypatch):
+        # after a run that returns, and after one that an engine ends with
+        # an exception outside _FAILURES on problem 3, while the worker
+        # decomposes problem 4's matrix
+        cfg = self.config(tmp_path, "complex")
+        oracle, v2, workers = rfom2.cli.oracle_eig, rfom2.cli.ENGINES["v2"], []
+        v2_calls = []
+
+        def recording_oracle(A, hermitian=False):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.current_thread())
+            return oracle(A, hermitian)
+
+        def failing_v2(*args):
+            v2_calls.append(1)
+            if len(v2_calls) == 3:
+                raise RuntimeError("injected")
+            return v2(*args)
+
+        monkeypatch.setattr(rfom2.cli, "oracle_eig", recording_oracle)
+        monkeypatch.setattr(rfom2.cli, "_usable_cores", lambda: 2)
+        run_experiment(cfg)
+        assert len(workers) == 2 and not any(t.is_alive() for t in workers)
+        workers.clear()
+        monkeypatch.setitem(rfom2.cli.ENGINES, "v2", failing_v2)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg)
+        # problem 2's worker call at least; problem 4's may be cancelled
+        assert workers and not any(t.is_alive() for t in workers)
+
+    @pytest.mark.parametrize("kind", ["graded", "matrix_market"])
+    def test_hermitian_run_starts_no_thread(self, tmp_path, monkeypatch, kind):
+        started, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(rfom2.cli, "_usable_cores", lambda: 2)
+        common = dict(function="exp", n_quad=64, j=20, k=4, eps=1e-3, n_problems=3,
+                      engines="v2", seed=11, output="")
+        if kind == "graded":
+            cfg = ExperimentConfig(problem="graded_hermitian", n=100, **common)
+        else:
+            path = tmp_path / "hermitian.mtx"
+            save_matrix_market(path, stencil("hermitian", 10).tocsr())
+            cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(path), **common)
+        report = run_experiment(cfg)
+        assert [r["status"] for r in report.rows] == ["ok"] * 3
+        assert started == []
+
+    def test_one_more_decomposition_at_the_peak(self, tmp_path, monkeypatch, traced_peak):
+        # the traced peak, in n^2 complex entries, over 5 problems at
+        # n = 324: 5.2 without the look-ahead, the oracle's transient (A's
+        # dense copy, eig's copy and V, the condition check's QR) beside
+        # the current matrix. With it, 9.3 to 10.2: the worker's
+        # decomposition of the next matrix runs beside the current one's,
+        # and the bound allows for that one extra decomposition and no more
+        oracle, workers = rfom2.cli.oracle_eig, []
+
+        def recording_oracle(A, hermitian=False):
+            workers.append(threading.current_thread() is not threading.main_thread())
+            return oracle(A, hermitian)
+
+        monkeypatch.setattr(rfom2.cli, "oracle_eig", recording_oracle)
+        monkeypatch.setattr(rfom2.cli, "_usable_cores", lambda: 2)
+        path = tmp_path / "complex.mtx"
+        save_matrix_market(path, stencil("complex", 18).tocsr())
+        cfg = ExperimentConfig(problem="matrix_market", matrix_file=str(path),
+                               function="log", j=20, k=4, n_quad=100, eps=1e-3,
+                               n_problems=5, engines="arnoldi,v2", seed=3, output="")
+        reports = []
+        peak = traced_peak(lambda: reports.append(run_experiment(cfg)))
+        assert [r["status"] for r in reports[0].rows] == ["ok"] * 10
+        assert workers.count(True) == 2
+        n = 324
+        assert peak <= 11.0 * n * n * 16
+
+
+# a child interpreter's view of the OpenBLAS pools across run_experiment:
+# every pool is first set to 2 threads, then it reports the counts inside
+# the run, whether the run looked ahead, and the counts after the run
+# returns and after a run that an engine ends with an exception
+POOL_CHILD = """
+import json, sys
+from rfom2 import blas, cli
+pools = blas.openblas_pools()
+for _, set_ in pools:
+    set_(2)
+counts = lambda: [get() for get, _ in pools]
+seen = {}
+solve, look_ahead = cli._solve_problem, cli._look_ahead
+def spy_solve(*args, **kw):
+    seen["inside"] = counts()
+    return solve(*args, **kw)
+def spy_look_ahead(*args):
+    seen["look_ahead"] = look_ahead(*args)
+    return seen["look_ahead"]
+def failing(*args):
+    raise RuntimeError("injected")
+cli._solve_problem, cli._look_ahead = spy_solve, spy_look_ahead
+cli._usable_cores = lambda: 2
+cfg = cli.ExperimentConfig(problem="convdiff2d", m=8, convection=1.0, function="log",
+                           j=10, k=2, n_quad=50, eps=1e-3, n_problems=2,
+                           engines="arnoldi,v2", output="")
+cli.run_experiment(cfg)
+seen["returned"] = counts()
+cli.ENGINES["v2"] = failing
+try:
+    cli.run_experiment(cfg)
+except RuntimeError:
+    seen["raised"] = counts()
+print(json.dumps(seen))
+"""
+
+# the rows of a graded config, which the generator's ?geqrf makes depend
+# on the BLAS thread count of a run that does not pin it
+GRADED_CHILD = """
+import json
+from rfom2 import cli
+cfg = cli.ExperimentConfig(problem="graded_hermitian", n=400, function="invsqrt",
+                           quad_kind="stieltjes", n_quad=30, j=30, k=4, eps=1e-4,
+                           n_problems=2, engines="arnoldi_q,v2", track_angle=True,
+                           seed=5, output="")
+rows = cli.run_experiment(cfg).rows
+print(json.dumps([[repr(r[c]) for c in cli.CSV_COLUMNS if c != "wall_ms"] for r in rows]))
+"""
+
+
+def run_child(code, **env):
+    """The JSON that code prints last, run in a child interpreter with no
+    BLAS thread variable set but those in env."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in (*rfom2.blas.THREAD_VARS, "MKL_NUM_THREADS")}
+    src = str(pathlib.Path(rfom2.__file__).parents[1])
+    child_env.update(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], env=child_env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+class TestBlasPools:
+    """`run_experiment` holds every loaded OpenBLAS pool at one thread and
+    restores the counts when it returns or raises; a count set in the
+    environment wins."""
+
+    def test_one_thread_inside_the_run(self):
+        seen = run_child(POOL_CHILD)
+        pools = len(seen["inside"])
+        assert pools >= 1
+        assert seen == {"inside": [1] * pools, "look_ahead": True,
+                        "returned": [2] * pools, "raised": [2] * pools}
+
+    def test_a_count_in_the_environment_wins(self):
+        # the counts are left alone, so the look-ahead stays off
+        seen = run_child(POOL_CHILD, OPENBLAS_NUM_THREADS="2")
+        pools = len(seen["inside"])
+        assert pools >= 1
+        assert seen == {"inside": [2] * pools, "look_ahead": False,
+                        "returned": [2] * pools, "raised": [2] * pools}
+
+    def test_graded_rows_do_not_depend_on_the_default_count(self):
+        pinned = run_child(GRADED_CHILD, **dict.fromkeys(
+            (*rfom2.blas.THREAD_VARS, "MKL_NUM_THREADS"), "1"))
+        assert [r[-1] for r in pinned] == ["'ok'"] * 4
+        assert run_child(GRADED_CHILD) == pinned
 
 
 class TestMain:

@@ -1345,10 +1345,25 @@ class TestEigenbasisCheck:
         with pytest.raises(IllConditionedEigenbasis):
             engines._check_eigenbasis(P, 1e10)
 
-    def test_nan_p_is_left_to_the_svd(self):
-        # np.linalg.cond's SVD does not converge on a NaN entry: the check
-        # raises its LinAlgError, as the cut did before the bound
-        P = self.with_condition(6, 10.0, False)
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_nan_p_raises_without_the_svd(self, monkeypatch, complex_):
+        # a NaN entry gives a NaN bound, and np.linalg.cond's SVD would
+        # not converge on it (LinAlgError): the check takes cond_2 = inf,
+        # as the SVD reads for an infinite entry, and makes no SVD
+        P = self.with_condition(6, 10.0, complex_)
         P[1, 3] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
+        monkeypatch.setattr(np.linalg, "cond", lambda M: pytest.fail("cond called"))
+        with pytest.raises(IllConditionedEigenbasis, match="eigenvector condition inf"):
             engines._check_eigenbasis(P, 1e10)
+
+    def test_singular_r_goes_to_the_svd(self, monkeypatch):
+        # a zero column: R is exactly singular, the bound is inf, and the
+        # SVD's cond_2 decides
+        P = self.with_condition(6, 10.0, False)
+        P[:, 2] = 0.0
+        calls = []
+        svd_cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda M: calls.append(M) or svd_cond(M))
+        with pytest.raises(IllConditionedEigenbasis):
+            engines._check_eigenbasis(P, 1e10)
+        assert len(calls) == 1 and calls[0] is P
