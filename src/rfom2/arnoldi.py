@@ -1,4 +1,4 @@
-"""Arnoldi process with reorthogonalization."""
+"""Arnoldi process by classical Gram-Schmidt, applied twice (CGS2)."""
 
 from dataclasses import dataclass, field
 
@@ -110,15 +110,18 @@ class ArnoldiDecomposition:
 def arnoldi(op, b, j, reorth=True):
     """Build an orthonormal basis of K_j(A, b) by classical Gram-Schmidt.
 
-    With reorth on, the classical pass is applied twice per new vector
-    (CGS2, "twice is enough"). Each pass is two BLAS gemv products on a
-    column-major V, h = V^H w and w - V h, so no conjugate copy of V is
-    made; the returned V is C-ordered, on breakdown too. Breakdown
-    truncates the decomposition. V and Hbar take the dtype of b and of the
-    first product A v_1, so a real operator and a real b give a real
-    decomposition. The norms are `core.norm`'s, so A and b may have entries
-    past 1e154.
+    The classical pass is applied twice per new vector (CGS2, "twice is
+    enough": Giraud et al., Numer. Math. 101, 2005), the only
+    orthogonalization; reorth=False raises ValueError. Each pass is two
+    BLAS gemv products on a column-major V, h = V^H w and w - V h, so no
+    conjugate copy of V is made; the returned V is C-ordered, on breakdown
+    too. Breakdown truncates the decomposition. V and Hbar take the dtype
+    of b and of the first product A v_1, so a real operator and a real b
+    give a real decomposition. The norms are `core.norm`'s, so A and b may
+    have entries past 1e154.
     """
+    if not reorth:
+        raise ValueError("arnoldi runs CGS2 only: reorth must be true")
     op = as_operator(op)
     b = np.asarray(b).reshape(-1)
     if b.shape[0] != op.dim:
@@ -145,11 +148,9 @@ def arnoldi(op, b, j, reorth=True):
         # the first pass writes a new array, so an operator's output is
         # never overwritten
         w = gemv(-1.0, Vl, h, beta=1.0, y=w)
-        if reorth:
-            h2 = gemv(1.0, Vl, w, trans=adjoint)
-            w = gemv(-1.0, Vl, h2, beta=1.0, y=w, overwrite_y=True)
-            h = h + h2
-        Hbar[: ell + 1, ell] = h
+        h2 = gemv(1.0, Vl, w, trans=adjoint)
+        w = gemv(-1.0, Vl, h2, beta=1.0, y=w, overwrite_y=True)
+        Hbar[: ell + 1, ell] = h + h2
         hnext = norm(w)
         breakdown = bool(hnext < BREAKDOWN_TOL * max(np.max(np.abs(Hbar)), 1e-300))
         if breakdown:

@@ -44,28 +44,24 @@ def openblas_pools():
     return pools
 
 
-def serial():
-    """Whether every loaded OpenBLAS pool reads one thread; False when no
-    pool is found."""
-    pools = openblas_pools()
-    return bool(pools) and all(get() == 1 for get, _ in pools)
-
-
 @contextlib.contextmanager
 def one_thread_per_caller():
     """Set every loaded OpenBLAS pool to one thread, and on exit, an exit
-    by exception included, back to the count it had. Also a decorator.
+    by exception included, back to the count it had. Yields whether every
+    loaded pool now reads one thread: False when no pool is found. Also a
+    decorator.
 
     A count set in the environment (`THREAD_VARS`) wins: then no pool is
     changed. The counts are process-wide: a thread that calls BLAS while
     another enters or leaves the scope runs at either count.
     """
-    pinned = [] if any(os.environ.get(var) for var in THREAD_VARS) else openblas_pools()
+    pools = openblas_pools()
+    pinned = [] if any(os.environ.get(var) for var in THREAD_VARS) else pools
     before = [get() for get, _ in pinned]
     for _, set_ in pinned:
         set_(1)
     try:
-        yield
+        yield bool(pools) and all(get() == 1 for get, _ in pools)
     finally:
         for (_, set_), count in zip(pinned, before):
             set_(count)

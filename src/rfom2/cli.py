@@ -165,7 +165,7 @@ def _check_values(cfg):
     for f in fields(cfg):
         if f.type is float and not np.isfinite(getattr(cfg, f.name)):
             raise ParseError(f"config key {f.name!r}: {getattr(cfg, f.name)} is not finite")
-    for key, least in (("m", 1), ("n", 1), ("k", 0), ("n_problems", 1)):
+    for key, least in (("m", 1), ("n", 1), ("k", 0), ("n_problems", 1), ("seed", 0)):
         if getattr(cfg, key) < least:
             raise ParseError(f"config key {key!r}: {getattr(cfg, key)} is below {least}")
     if cfg.problem == "graded_hermitian" and not 0 <= cfg.small_count <= cfg.n:
@@ -229,11 +229,10 @@ class RunReport:
         row = {c: kw.get(c, "") for c in CSV_COLUMNS}
         self.rows.append(row)
 
-    def write_csv(self, path=None):
-        path = path or self.path
-        if not path:
+    def write_csv(self):
+        if not self.path:
             return
-        with open(path, "w", newline="") as fh:
+        with open(self.path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(self.rows)
@@ -329,7 +328,8 @@ class _OracleCache:
 
 
 def _setup(cfg, length, eps):
-    """Engine names, function, problem sequence and oracle cache of a config.
+    """Engine names, function, matrix dimension, problems (the generator,
+    which alone holds the base) and oracle cache of a config.
 
     The cache is None when the oracle is off or the matrix is too large.
     Raises ParseError for the values `parse_config` rejects, for a j
@@ -340,7 +340,7 @@ def _setup(cfg, length, eps):
     engine_names = cfg.engine_list()
     fun = function_catalog(cfg.function)
     base, base_hermitian = _base_matrix(cfg)
-    # the tolerance of eig_dense's Hermitian check
+    # the tolerance of the Hermitian oracle's check (problems._hermitian_eig)
     if cfg.hermitian and not base_hermitian and not is_hermitian(base, 1e-10):
         raise ParseError("config key 'hermitian': true, but the matrix is not "
                          "Hermitian to 1e-10 relative in the Frobenius norm")
@@ -349,12 +349,12 @@ def _setup(cfg, length, eps):
     if not 1 <= cfg.j < n:
         raise ParseError(f"config key 'j': {cfg.j} is not at least 1 and below "
                          f"the matrix dimension {n}")
-    seq = ProblemSequence(base=base, length=length, eps=eps,
-                          rhs_policy=cfg.rhs_policy, seed=cfg.seed,
-                          hermitian=hermitian)
+    problems = gen_perturbation_sequence(ProblemSequence(
+        base=base, length=length, eps=eps, rhs_policy=cfg.rhs_policy, seed=cfg.seed,
+        hermitian=hermitian))
     oracle = cfg.oracle and n <= ORACLE_MAX_N \
         and (hermitian or n <= ORACLE_GENERAL_MAX_N)
-    return engine_names, fun, seq, _OracleCache(hermitian) if oracle else None
+    return engine_names, fun, n, problems, _OracleCache(hermitian) if oracle else None
 
 
 def _status(exc):
@@ -392,7 +392,7 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
     - an engine: its own row.
     """
     row = dict(problem_index=index, j=cfg.j, k=rec.k, n_quad=cfg.n_quad)
-    dec = arnoldi(op, b, cfg.j, reorth=True)
+    dec = arnoldi(op, b, cfg.j)
     # before the oracle: the previous matrix, which only rec.op still
     # holds, is freed before the oracle's transient
     rec = engines._current(dec, rec)
@@ -445,12 +445,12 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
 
 
 def _usable_cores():
-    """How many cores this process may run on (Linux only, as is
-    `blas.serial`, which `_look_ahead` asks first)."""
+    """How many cores this process may run on (Linux only; `_look_ahead`
+    asks only when serial is true, which takes Linux's /proc too)."""
     return len(os.sched_getaffinity(0))
 
 
-def _look_ahead(cache, eps):
+def _look_ahead(cache, eps, serial):
     """Whether `run_experiment` decomposes the next problem's matrix on a
     worker thread while the main thread decomposes the current one.
 
@@ -458,10 +458,11 @@ def _look_ahead(cache, eps):
     Hermitian path's f2py `?sytrd` and `dstevd` hold it, and two threads
     ran them no faster than one. Only on a changing matrix, since a fixed
     one is decomposed once, and only with every BLAS pool at one thread
-    and a second core for the worker.
+    (serial, as `blas.one_thread_per_caller` yields it) and a second core
+    for the worker.
     """
     return (cache is not None and not cache.hermitian and eps != 0.0
-            and blas.serial() and _usable_cores() > 1)
+            and serial and _usable_cores() > 1)
 
 
 def _in_pairs(problems, cache, worker):
@@ -480,7 +481,6 @@ def _in_pairs(problems, cache, worker):
         second = None
 
 
-@blas.one_thread_per_caller()
 def run_experiment(cfg):
     """Run a sequence of f(A^(i)) b^(i) problems through selected engines.
 
@@ -490,10 +490,10 @@ def run_experiment(cfg):
     a fixed matrix keeps the update's C = A U as it stands, and on a new
     matrix C is recomputed once, right after Arnoldi (`_solve_problem`).
     With eps = 0 the one decomposition is kept for every problem. With
-    eps != 0 every problem has a new matrix, and each problem's matrix,
-    operator and oracle decomposition are freed once it is done. Only the
-    sequence holds the base, which on the dense path is problem 1's
-    matrix.
+    eps != 0 every problem has a new matrix, and each problem's oracle
+    decomposition is freed once it is done, its matrix and operator once
+    the next is drawn. Only the problem stream holds the base, which on
+    the dense path is problem 1's matrix.
 
     On the Hermitian oracle the run then holds one problem's n x n arrays
     at a time. On the general oracle, when `_look_ahead` allows, problems
@@ -502,30 +502,27 @@ def run_experiment(cfg):
     thread decomposes the first's, so the run holds one more matrix and
     one more decomposition. No thread the run starts outlives it.
     """
-    engine_names, fun, seq, cache = _setup(cfg, cfg.n_problems, cfg.eps)
     report = RunReport(path=cfg.output)
-    rec = RecycleSubspace.empty(seq.base.shape[0])
-    problems = gen_perturbation_sequence(seq)
-    del seq  # the generator alone holds the base
-    worker = None
-    if _look_ahead(cache, cfg.eps):
-        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rfom2-oracle")
-        problems = _in_pairs(problems, cache, worker)
-    try:
-        matrix = op = None
-        for i, (A, b) in enumerate(problems, start=1):
-            if A is not matrix:
-                matrix, op = A, as_operator(A)
-            rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
-                                 rec, [cfg.n_quad], update=True)
-            if cfg.eps != 0.0:
-                # a new matrix comes next: free this one's arrays first
-                A = matrix = op = None
-                if cache is not None:
+    with blas.one_thread_per_caller() as serial:
+        engine_names, fun, n, problems, cache = _setup(cfg, cfg.n_problems, cfg.eps)
+        rec = RecycleSubspace.empty(n)
+        worker = None
+        if _look_ahead(cache, cfg.eps, serial):
+            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rfom2-oracle")
+            problems = _in_pairs(problems, cache, worker)
+        try:
+            matrix = op = None
+            for i, (A, b) in enumerate(problems, start=1):
+                if A is not matrix:
+                    matrix, op = A, as_operator(A)
+                rec = _solve_problem(cfg, engine_names, fun, cache, report, i, A, op, b,
+                                     rec, [cfg.n_quad], update=True)
+                if cfg.eps != 0.0 and cache is not None:
+                    # a new matrix comes next: free this one's decomposition
                     cache.clear()
-    finally:
-        if worker is not None:
-            worker.shutdown(cancel_futures=True)
+        finally:
+            if worker is not None:
+                worker.shutdown(cancel_futures=True)
     report.write_csv()
     return report
 
@@ -546,11 +543,11 @@ def sweep_quadrature(cfg, n_list):
         raise ParseError("--nquad: no node counts")
     for nq in n_list:
         _check_n_quad(cfg.quad_kind, nq, "--nquad")
-    engine_names, fun, seq, cache = _setup(cfg, 1, 0.0)
-    A, b = next(gen_perturbation_sequence(seq))
+    engine_names, fun, n, problems, cache = _setup(cfg, 1, 0.0)
+    A, b = next(problems)
     op = as_operator(A)
     report = RunReport(path=cfg.output)
-    rec = RecycleSubspace.empty(A.shape[0])
+    rec = RecycleSubspace.empty(n)
     if cfg.k > 0 and cache is not None and cache.hermitian:
         try:
             rec = RecycleSubspace.from_basis(op, cache.eig_for(A).smallest(cfg.k))

@@ -116,8 +116,6 @@ class _EigenRoute:
 
     def __call__(self, M):
         M = np.asarray(M)
-        if M.shape[0] == 0:
-            return M.copy()
         hermitian = is_hermitian(M)
         w, P = eig_dense(M, hermitian=hermitian)
         return self.apply(w, P, np.eye(M.shape[0]), unitary=hermitian)
@@ -210,17 +208,6 @@ def augmented_basis(dec, rec):
     rec = _augmented_pencil(dec, rec)[0]
     return (np.concatenate([rec.U, dec.Vj], axis=1),
             np.concatenate([rec.C, dec.V @ dec.Hbar], axis=1))
-
-
-def _node_factor(fun, rule):
-    """Per-node scalar multiplying the resolvent term, at one node or many.
-
-    Contour rules integrate f(z) against the resolvent; Stieltjes rules
-    already absorb the density of f into their weights.
-    """
-    if rule.kind == "stieltjes":
-        return lambda z: 1.0
-    return fun.scalar_f
 
 
 def arnoldi_direct(dec, fun):
@@ -359,8 +346,11 @@ def _check_nodes(nodes, lam):
 
 
 def _node_weights(fun, rule):
-    """mu_l = w_l * factor(z_l), the coefficient of node l's solve."""
-    return rule.weights * _node_factor(fun, rule)(rule.nodes)
+    """mu_l, the coefficient of node l's solve: w_l f(z_l) on a contour
+    rule, and w_l on a Stieltjes rule, whose weights absorb f's density."""
+    if rule.kind == "stieltjes":
+        return rule.weights
+    return rule.weights * fun.scalar_f(rule.nodes)
 
 
 def _folded_nodes(fun, rule, dec, rec=None):

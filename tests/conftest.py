@@ -2,10 +2,12 @@
 
 OpenBLAS's threaded complex getrs rounds differently from its serial one,
 so a bit-for-bit comparison against a getrs-based reference only holds
-with one BLAS thread. The thread count is read once, when BLAS loads, so
-such a test runs as its own pytest node in a child interpreter with every
-BLAS thread variable set to 1, unless this interpreter already has them;
-its outcome is the child's.
+with one BLAS thread. Such a test runs as its own pytest node in a child
+interpreter with every BLAS thread variable set to 1, unless this
+interpreter already has them; its outcome is the child's. `rfom2.blas`
+sets OpenBLAS's count at run time, but the tests must also hold on a BLAS
+it cannot reach (no `scipy_openblas_*` symbols, not Linux, MKL), where
+only the variables, read when BLAS loads, set the count.
 
 The `traced_peak` fixture measures a call's peak of traced memory.
 """

@@ -115,6 +115,11 @@ class TestArnoldi:
         with pytest.raises(ZeroRhs):
             arnoldi(np.eye(4), np.zeros(4), 2)
 
+    def test_cgs2_only(self):
+        # CGS2 is the only orthogonalization: reorth is a keyword that must be true
+        with pytest.raises(ValueError, match="CGS2"):
+            arnoldi(gen_laplacian_2d(3), np.ones(9), 2, reorth=False)
+
 
 def shifted_fom_solve(dec, sigma):
     """The FOM iterate x_j(sigma) = ||b|| V_j (sigma I - H_j)^{-1} e_1 for

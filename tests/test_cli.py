@@ -35,7 +35,6 @@ from rfom2 import (
     arnoldi,
     arnoldi_direct,
     arnoldi_quad,
-    gen_perturbation_sequence,
     trapezoid_contour,
 )
 from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d, \
@@ -86,6 +85,7 @@ class TestParseConfig:
                           ("quad_kind = stieltjes\nfunction = invsqrt\nn_quad = 0",
                            "n_quad"),
                           ("k = -1", "k"), ("n_problems = 0", "n_problems"),
+                          ("seed = -1", "seed"),
                           ("contour_margin = -1", "contour_margin"),
                           ("contour_margin = 0", "contour_margin"),
                           ("contour_center = abc\ncontour_radius = 2",
@@ -295,8 +295,8 @@ class TestRunExperiment:
                                n_quad=64, contour_center="4", contour_radius="3.9",
                                engines="arnoldi,arnoldi_q", oracle=False,
                                output=str(tmp_path / "out.csv"))
-        _, fun, seq, _ = rfom2.cli._setup(cfg, 1, 0.0)
-        A, b = next(gen_perturbation_sequence(seq))
+        _, fun, _, problems, _ = rfom2.cli._setup(cfg, 1, 0.0)
+        A, b = next(problems)
         dec = arnoldi(A, b, 10)
         x = arnoldi_direct(dec, fun)
         rule = trapezoid_contour(CircleContour(4.0 + 0.0j, 3.9), 64)

@@ -45,7 +45,6 @@ from rfom2.core import (
 from rfom2.engines import (
     _augmented_pencil,
     _folded_nodes,
-    _node_factor,
     _node_weights,
 )
 from rfom2.problems import (
@@ -104,12 +103,11 @@ def smw_v3(dec, rec, fun, rule):
     fG[k:, k:] = fun.dense_f(dec.H)
     closed = Vhat @ (fG @ lu_solve(VhWh, Vhb))
     t = np.zeros(kj, dtype=np.complex128)
-    factor = _node_factor(fun, rule)
-    for z, w in zip(rule.nodes, rule.weights):
+    for z, mu in zip(rule.nodes, _node_weights(fun, rule)):
         B = Vhat.conj().T @ R(z)
         Gzinv = lu_solve(VhWh @ (z * I - G), I)
         s = lu_solve(I + B @ Gzinv, B @ (Gzinv @ Vhb))
-        t += w * factor(z) * (Gzinv @ s)
+        t += mu * (Gzinv @ s)
     return closed - Vhat @ t
 
 
@@ -183,15 +181,13 @@ def loop_rfom_v1(dec, rec, fun, rule):
 
 def loop_arnoldi_quad(dec, fun, rule):
     """Reference for `arnoldi_quad`: one LU solve of (z I - H_j) per node,
-    accumulated in ascending node order with the per-node w * factor(z)."""
+    accumulated in ascending node order with the per-node `_node_weights`."""
     j = dec.j
     rhs = np.zeros(j, dtype=np.complex128)
     rhs[0] = dec.beta  # V_j^* b exactly, since v_1 = b/||b||
     Ij = np.eye(j, dtype=np.complex128)
     acc = np.zeros(j, dtype=np.complex128)
-    factor = _node_factor(fun, rule)
-    for z, w in zip(rule.nodes, rule.weights):
-        mu = w * factor(z)
+    for z, mu in zip(rule.nodes, _node_weights(fun, rule)):
         try:
             y = lu_solve(z * Ij - dec.H, rhs)
         except SingularMatrix as exc:

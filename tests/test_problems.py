@@ -30,7 +30,7 @@ from rfom2 import (
     subspace_angle,
 )
 from rfom2.core import norm
-from rfom2.problems import oracle_apply, oracle_eig
+from rfom2.problems import ORACLE_GENERAL_MAX_N, oracle_apply, oracle_eig
 
 
 def eigh_apply(scalar_f, w, V, b):
@@ -38,6 +38,9 @@ def eigh_apply(scalar_f, w, V, b):
     Hermitian oracle, which never forms V, is checked against."""
     B = b.reshape(len(b), -1)
     return (V @ (scalar_f(w)[:, None] * (V.conj().T @ B))).reshape(b.shape)
+
+
+HEADER = "%%MatrixMarket matrix coordinate real general\n"
 
 
 class TestMatrixMarket:
@@ -102,6 +105,24 @@ class TestMatrixMarket:
         p.write_text("%%MatrixMarket matrix coordinate pattern general\n")
         with pytest.raises(UnsupportedFormat):
             load_matrix_market(p)
+
+    @pytest.mark.parametrize("text, line, exc", [
+        ("", 1, ParseError),                                    # empty file
+        ("%%MatrixMarket matrix coordinate real\n", 1, ParseError),  # 4-field header
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n", 1, UnsupportedFormat),
+        (f"{HEADER}% size\n2 2\n", 3, ParseError),              # 2-field size line
+        (f"{HEADER}2 2 x\n", 2, ParseError),                    # non-integer size
+        (f"{HEADER}2 2 1\n1 1\n", 3, ParseError),               # wrong field count
+        (f"{HEADER}2 2 1\n3 1 1.0\n", 3, ParseError),           # index out of range
+        (f"{HEADER}% no size line\n", 2, ParseError),           # missing size line
+        (f"{HEADER}2 2 2\n1 1 1.0\n", 3, ParseError),           # fewer entries
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, text, line, exc):
+        p = tmp_path / "bad.mtx"
+        p.write_text(text)
+        with pytest.raises(exc) as info:
+            load_matrix_market(p)
+        assert f"{p}:{line}:" in str(info.value)
 
 
 class TestGenerators:
@@ -522,6 +543,14 @@ class TestOracle:
             monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("an SVD ran"))
         got = oracle_eig(A)
         assert np.array_equal(got[0], w) and np.array_equal(got[1], V)
+
+    def test_general_oracle_size_cap(self, monkeypatch):
+        # the cap is checked before any decomposition starts
+        monkeypatch.setattr("rfom2.problems.eig_dense",
+                            lambda *args, **kw: pytest.fail("eig_dense ran"))
+        n = ORACLE_GENERAL_MAX_N + 1
+        with pytest.raises(ValueError, match=f"capped at n = {ORACLE_GENERAL_MAX_N}"):
+            oracle_eig(np.zeros((n, n)))
 
     def test_general_path(self):
         rng = np.random.default_rng(8)
