@@ -38,7 +38,7 @@ _ONE_TRIANGLE = {np.dtype(np.float64): scipy.linalg.blas.dsymv,
 
 
 def as_operator(A):
-    """Wrap an ndarray, sparse matrix or LinearOperator uniformly.
+    """Wrap a square ndarray or sparse matrix, or a LinearOperator, uniformly.
 
     The wrapper computes A @ v, except that a nonempty C-ordered float64 or
     complex128 ndarray that is exactly Hermitian applies a vector of its
@@ -48,13 +48,11 @@ def as_operator(A):
     """
     if isinstance(A, LinearOperator):
         return A
-    if scipy.sparse.issparse(A):
-        n = A.shape[0]
-        return LinearOperator(n, lambda v: A @ v)
-    A = np.asarray(A)
+    if not scipy.sparse.issparse(A):
+        A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("operator must be square")
-    mv = _ONE_TRIANGLE.get(A.dtype)
+    mv = _ONE_TRIANGLE.get(A.dtype) if isinstance(A, np.ndarray) else None
     if (mv is None or A.size == 0 or not A.flags.c_contiguous
             or not scipy.linalg.ishermitian(A, atol=0, rtol=0)):
         return LinearOperator(A.shape[0], lambda v: A @ v)

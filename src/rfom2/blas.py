@@ -10,6 +10,7 @@ length of a run, so each thread that calls BLAS runs it alone.
 
 import contextlib
 import ctypes
+import functools
 import os
 
 # the variables OpenBLAS takes its thread count from when it loads
@@ -19,15 +20,18 @@ _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_thread
             ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
 
 
+@functools.cache
 def openblas_pools():
-    """(get, set) of each loaded OpenBLAS that exports one of the symbol
-    pairs above, found through /proc/self/maps; empty where there is none
-    (another BLAS, another platform)."""
+    """A tuple of (get, set) of each loaded OpenBLAS that exports one of the
+    symbol pairs above, found through /proc/self/maps; empty where there is
+    none (another BLAS, another platform). Probed once per process: both
+    libraries are loaded by the time `rfom2` is, since `rfom2.engines`
+    imports scipy.linalg, and a later call returns the same handles."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
     except OSError:
-        return []
+        return ()
     pools = []
     for path in paths:
         try:
@@ -41,7 +45,7 @@ def openblas_pools():
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
                 pools.append((get, set_))
                 break
-    return pools
+    return tuple(pools)
 
 
 @contextlib.contextmanager

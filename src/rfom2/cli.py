@@ -183,6 +183,8 @@ def _check_values(cfg):
     if cfg.output and not os.path.isdir(os.path.dirname(cfg.output) or "."):
         raise ParseError(f"config key 'output': {cfg.output!r} is not in an "
                          "existing directory")
+    if os.path.isdir(cfg.output):
+        raise ParseError(f"config key 'output': {cfg.output!r} is a directory")
     if not 0.0 < cfg.contour_margin < np.inf:
         raise ParseError(f"config key 'contour_margin': {cfg.contour_margin} "
                          "is not a positive number")
@@ -400,7 +402,7 @@ def _solve_problem(cfg, engine_names, fun, cache, report, index, A, op, b, rec,
     if cache is not None:
         try:
             eig = cache.eig_for(A)
-            reference = oracle_apply(fun, eig, b, hermitian=cache.hermitian)
+            reference = oracle_apply(fun, eig, b)
         except _FAILURES as exc:
             diag = float(eig.w[0]) if eig is not None and cache.hermitian else ""
             report.add(engine="oracle", imag_residue=diag, status=_status(exc), **row)
@@ -589,7 +591,8 @@ def main(argv=None):
         print(f"rfom2: {exc}", file=sys.stderr)
         return 2
     failures = sum(1 for r in report.rows if r["status"] != "ok")
-    print(f"wrote {cfg.output}: {len(report.rows)} rows, {failures} failures")
+    wrote = f"wrote {cfg.output}" if cfg.output else "wrote no file (output is empty)"
+    print(f"{wrote}: {len(report.rows)} rows, {failures} failures")
     return 1 if failures else 0
 
 

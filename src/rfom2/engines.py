@@ -408,16 +408,16 @@ def _projection(dec, rec):
 
     The key is the identity of rec, rec.U and rec.C, after `_current` has
     made C A U for dec's operator, so a replaced C, a new subspace or a new
-    decomposition builds anew; the entry holds those three objects, so
-    their identities stay unique while it lives. Every empty subspace of
-    one dtype shares one entry: `RecycleSubspace.empty` makes a new object
-    on each call.
+    decomposition builds anew. The entry holds those three objects, so a
+    key in the memo names the same three objects while it lives. Every
+    empty subspace of one dtype shares one entry: `RecycleSubspace.empty`
+    makes a new object on each call.
     """
     rec = _current(dec, rec)
     source = (rec, rec.U, rec.C)
     key = (rec.U.dtype, rec.C.dtype) if rec.k == 0 else tuple(map(id, source))
     entry = dec._memo.get(key)
-    if entry is None or (rec.k and any(a is not b for a, b in zip(entry.source, source))):
+    if entry is None:
         entry = dec._memo[key] = _Projection(source, _build_pencil(dec, rec))
     return entry
 

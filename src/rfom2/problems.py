@@ -83,6 +83,8 @@ def load_matrix_market(path):
                 rows, cols, nnz = (int(p) for p in parts)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad size line") from exc
+            if min(rows, cols, nnz) < 0:
+                raise ParseError(f"{path}:{lineno}: bad size line")
             continue
         if len(parts) != want:
             raise ParseError(f"{path}:{lineno}: expected {want} fields per entry")
@@ -351,14 +353,14 @@ def oracle_eig(A, hermitian=False):
     return w, V
 
 
-def oracle_apply(fun, eig, b, hermitian=False):
+def oracle_apply(fun, eig, b):
     """f(A) b from A's oracle_eig decomposition, b a vector or a block of
-    columns: on the Hermitian path Q f(T) Q^* b, f(T) through the same
-    eigen-apply as the general path's V f(diag(w)) V^{-1} b.
+    columns, on the path the decomposition names: Q f(T) Q^* b from a
+    `HermitianEig`, V f(diag(w)) V^{-1} b from (w, V), one eigen-apply.
 
     Eigenvalues at a singularity of f raise FunctionUndefined.
     """
-    if hermitian:
+    if isinstance(eig, HermitianEig):
         y = _eigen_apply(fun.scalar_f, eig.w, eig.Z, eig.q_apply(b, adjoint=True),
                          unitary=True)
         return eig.q_apply(y)
@@ -367,7 +369,7 @@ def oracle_apply(fun, eig, b, hermitian=False):
 
 def oracle_funm(A, fun, b, hermitian=False):
     """Reference f(A) b through a dense eigendecomposition."""
-    return oracle_apply(fun, oracle_eig(A, hermitian), b, hermitian)
+    return oracle_apply(fun, oracle_eig(A, hermitian), b)
 
 
 def _dense_inverse(M):

@@ -279,3 +279,6 @@ def test_operator_wrapper():
     assert np.allclose(op.apply(np.ones(3)), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         as_operator(np.ones((2, 3)))
+    # a sparse matrix meets the same check, not matmul's dimension mismatch
+    with pytest.raises(ValueError, match="operator must be square"):
+        as_operator(scipy.sparse.csr_matrix(np.ones((2, 3))))

@@ -37,8 +37,8 @@ from rfom2 import (
     arnoldi_quad,
     trapezoid_contour,
 )
-from rfom2.problems import gen_convection_diffusion_2d, gen_laplacian_2d, \
-    save_matrix_market
+from rfom2.problems import gen_convection_diffusion_2d, gen_graded_hermitian, \
+    gen_laplacian_2d, save_matrix_market
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -951,7 +951,7 @@ class TestMain:
         assert "'matrix_file'" in err and "3 x 4" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("case", ["missing", "array", "binary", "nan"])
+    @pytest.mark.parametrize("case", ["missing", "array", "binary", "nan", "negative"])
     def test_unusable_matrix_file_exits_2(self, tmp_path, capsys, case):
         # one stderr line naming the file, and the line of a bad entry
         mfile = tmp_path / f"{case}.mtx"
@@ -963,6 +963,8 @@ class TestMain:
         elif case == "nan":
             mfile.write_text("%%MatrixMarket matrix coordinate real general\n"
                              "2 2 2\n1 1 nan\n2 2 1.0\n")
+        elif case == "negative":
+            mfile.write_text("%%MatrixMarket matrix coordinate real general\n-2 -2 0\n")
         cfgfile = write_config(tmp_path, f"""
             problem = matrix_market
             matrix_file = {mfile}
@@ -974,6 +976,8 @@ class TestMain:
         assert len(err) == 1 and str(mfile) in err[0]
         if case == "nan":
             assert f"{mfile}:3:" in err[0]
+        if case == "negative":
+            assert f"{mfile}:2:" in err[0]
 
     def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys, monkeypatch):
         # one stderr line naming the key, before any problem is computed;
@@ -985,12 +989,13 @@ class TestMain:
             j = 10
             engines = arnoldi
         """)
-        for output in (tmp_path / "no" / "such" / "r.csv", "no/r.csv"):
+        for output in (tmp_path / "no" / "such" / "r.csv", "no/r.csv", tmp_path):
             assert main(["run", cfgfile, "--set", f"output={output}"]) == 2
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and "'output'" in err[0]
         assert not (tmp_path / "no").exists()
         assert main(["run", cfgfile, "--set", "output="]) == 0
+        assert capsys.readouterr().out.startswith("wrote no file (output is empty): ")
         assert main(["run", cfgfile, "--set", "output=r.csv"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "r.csv"]
 
@@ -1048,6 +1053,128 @@ class TestMain:
                     for r in csv.DictReader(fh)]
         assert rows == [(i, e, "error:NoSeparatingContour")
                         for i in ("1", "2") for e in ("arnoldi", "arnoldi_q")]
+
+
+# the README example config, which CI's console-script run writes too
+EXAMPLE_CFG = """\
+problem = graded_hermitian   # laplacian2d | convdiff2d | graded_hermitian | matrix_market
+n = 900
+function = invsqrt           # inverse | invsqrt | sqrt | exp | log | sign_via_invsqrt
+quad_kind = stieltjes        # contour | stieltjes
+j = 50                       # Arnoldi steps per problem
+k = 20                       # recycle subspace dimension
+n_quad = 30
+n_problems = 30
+eps = 0.0                    # per-step Hermitian perturbation, relative Frobenius
+engines = arnoldi_q, v2      # any of arnoldi, arnoldi_q, v1, v2, v3
+seed = 11
+track_angle = true           # record theta(U, Z) against oracle eigenvectors
+output = report.csv
+"""
+
+# convection-diffusion with log: the general eig in f(H), the Schur kernel,
+# the general oracle and the fold on a non-normal real pencil
+CONVDIFF = ("problem=convdiff2d", "m=20", "convection=1.0", "function=log",
+            "quad_kind=contour", "n_quad=200", "j=40", "k=10", "n_problems=3",
+            "engines=arnoldi,arnoldi_q,v1,v2,v3")
+
+
+def csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestConsoleConfigs:
+    """Variants of the README example config, run through `main` in the
+    config's directory as the `rfom2` console script runs them."""
+
+    @staticmethod
+    def run(*sets):
+        argv = ["run", "example.cfg"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("case", [
+        "sweep", "contour", "real_non_hermitian", "conjugate_pair_cut", "changing_matrix",
+        "changing_real_non_hermitian", "engine_order", "complex_hermitian"])
+    def test_example_config(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(rfom2.cli.DATA_DIR_ENV, raising=False)
+        (tmp_path / "example.cfg").write_text(EXAMPLE_CFG)
+        if case == "sweep":
+            # k = 20: U is the oracle's eigenvectors of the 20 eigenvalues
+            # smallest in magnitude, Q applied to those columns of Z only; v2
+            # at 32 nodes reads 4.2e-12 against arnoldi_q's 6.7e-8 (rounding
+            # in U alone moves v2 between 2.6e-12 and 8.1e-12)
+            assert main(["sweep", "example.cfg", "--nquad", "8,16,32"]) == 0
+            rows = csv_rows("report.csv")
+            assert len(rows) == 6 and all(r["status"] == "ok" for r in rows), rows
+            err = {(r["n_quad"], r["engine"]): float(r["rel_error"]) for r in rows}
+            assert err["32", "v2"] * 1e3 <= err["32", "arnoldi_q"], err
+        elif case == "contour":
+            # a real-centred circle: every quadrature engine solves each
+            # conjugate node pair once. The carried subspace is trimmed from
+            # 20 to 18 columns on problem 3 (the k column is the carried k),
+            # and v1 and v2 read the same deflated pencil
+            self.run("quad_kind=contour", "function=inverse", "n_quad=200",
+                     "engines=arnoldi_q,v1,v2,v3", "n_problems=3")
+            rows = csv_rows("report.csv")
+            assert rows and all(r["status"] == "ok" for r in rows), rows
+            ks = sorted({(r["problem_index"], r["k"]) for r in rows})
+            assert ks == [("1", "0"), ("2", "20"), ("3", "20")], ks
+            err = {(r["problem_index"], r["engine"]): float(r["rel_error"]) for r in rows}
+            for p in "123":
+                assert abs(err[p, "v1"] - err[p, "v2"]) <= 1e-9 * err[p, "v2"], p
+        elif case == "real_non_hermitian":
+            self.run(*CONVDIFF)
+        elif case == "conjugate_pair_cut":
+            # seed 12: the 10th and 11th smallest |theta| of the first update
+            # are a conjugate pair, so the update keeps 9 columns (the k
+            # column of problem 2 is the carried k) instead of splitting it
+            self.run(*CONVDIFF, "seed=12", "output=pair.csv")
+            rows = csv_rows("pair.csv")
+            assert len(rows) == 15 and all(r["status"] == "ok" for r in rows), rows
+            ks = {r["k"] for r in rows if r["problem_index"] == "2"}
+            assert ks == {"9"}, ks
+        elif case == "changing_matrix":
+            # eps > 0: every problem has a new matrix, so C = A U is
+            # recomputed once for it before its engines run
+            self.run("eps=1e-4", "n_problems=3")
+        elif case == "changing_real_non_hermitian":
+            self.run(*CONVDIFF, "eps=1e-3")
+        elif case == "engine_order":
+            # every engine and the update read their pencils from one memo
+            # per Arnoldi decomposition, so the rows must not depend on which
+            # engine reads first
+            save_matrix_market("complex.mtx", gen_convection_diffusion_2d(12, 1.0)
+                               + 1j * scipy.sparse.diags(np.linspace(0.0, 1.0, 144)))
+            rows = {}
+            for order in ("arnoldi,arnoldi_q,v1,v2,v3", "v3,v2,v1,arnoldi_q,arnoldi"):
+                self.run("problem=matrix_market", "matrix_file=complex.mtx", "function=log",
+                         "quad_kind=contour", "n_quad=200", "j=30", "k=8", "eps=1e-3",
+                         "n_problems=3", f"engines={order}", "output=order.csv")
+                rows[order] = {(r["problem_index"], r["engine"]): (r["status"], r["k"],
+                                                                   r["rel_error"])
+                               for r in csv_rows("order.csv")}
+            forward, reverse = rows.values()
+            assert len(forward) == 15 and forward == reverse, (forward, reverse)
+            assert {status for status, _, _ in forward.values()} == {"ok"}, forward
+        else:
+            # a Matrix Market file with every entry stored: it runs as CSR,
+            # like every file. hemv on a complex Hermitian ndarray is covered
+            # by TestHermitianOperator and TestCgs2AgainstNumpyLoop
+            A = gen_graded_hermitian(120, seed=3)
+            d = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=120))
+            B = (d[:, None] * A) * d.conj()[None, :]
+            save_matrix_market("hermitian.mtx", 0.5 * (B + B.conj().T))
+            self.run("problem=matrix_market", "matrix_file=hermitian.mtx", "j=30", "k=8",
+                     "eps=1e-3", "n_problems=3", "engines=arnoldi,arnoldi_q,v1,v2,v3",
+                     "output=hermitian.csv")
+            rows = csv_rows("hermitian.csv")
+            assert len(rows) == 15 and all(r["status"] == "ok" for r in rows), rows
+            worst = max(float(r["rel_error"]) for r in rows)
+            assert worst <= 1e-3, worst
 
 
 class TestRunReport:

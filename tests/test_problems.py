@@ -116,6 +116,7 @@ class TestMatrixMarket:
         (f"{HEADER}2 2 1\n3 1 1.0\n", 3, ParseError),           # index out of range
         (f"{HEADER}% no size line\n", 2, ParseError),           # missing size line
         (f"{HEADER}2 2 2\n1 1 1.0\n", 3, ParseError),           # fewer entries
+        (f"{HEADER}-2 -2 0\n", 2, ParseError),                 # negative size
     ])
     def test_errors_name_file_and_line(self, tmp_path, text, line, exc):
         p = tmp_path / "bad.mtx"
@@ -445,8 +446,7 @@ class TestGradedStorage:
         else:
             assert not any(np.shares_memory(M, base) for M, _ in got[1:])
         arnoldi(as_operator(A), b, 10)
-        oracle_apply(function_catalog("exp"), oracle_eig(A, hermitian=True), b,
-                     hermitian=True)
+        oracle_apply(function_catalog("exp"), oracle_eig(A, hermitian=True), b)
         assert np.array_equal(base, kept)
 
 
@@ -521,7 +521,7 @@ class TestOracle:
         for name in ("exp", "inverse"):
             fun = function_catalog(name)
             ref = eigh_apply(fun.scalar_f, w, V, b)
-            x = oracle_apply(fun, eig, b, hermitian=True)
+            x = oracle_apply(fun, eig, b)
             assert x.shape == b.shape
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), name
             assert x.dtype == (np.complex128 if cplx else np.float64)
